@@ -28,7 +28,6 @@
 #include "tensor/init.h"
 #include "tensor/loss.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "tensor/registry.h"
 #include "text/features.h"
 #include "text/frozen_encoder.h"
@@ -163,34 +162,19 @@ std::vector<SweepOp> MakeSweepOps() {
   return ops;
 }
 
-// ----- Scalar vs SIMD vs int8 sweep ----------------------------------------
+// ----- Scalar vs SIMD sweep -----------------------------------------------
 
 // Single-thread forward timings of the dispatched kernels with the SIMD
-// paths pinned off (DTDBD_NO_SIMD semantics), on (the default), and — for
-// the weight-bearing ops — served from int8 weight twins. SIMD must be
-// bitwise identical to scalar (the backend_consistency_test contract);
-// int8 is NMSE-reported, not bitwise (the quantize_test contract).
-// Defined after TimeMs/SameBits below.
+// paths pinned off (DTDBD_NO_SIMD semantics) and on (the default). SIMD
+// must be bitwise identical to scalar (the backend_consistency_test
+// contract).
 struct SimdRow {
   std::string op, workload;
   double scalar_ms = 0.0, simd_ms = 0.0;
   bool simd_bitwise_equal = false;
-  bool has_int8 = false;
-  double int8_ms = 0.0;
-  double int8_nmse = 0.0;  // vs the fp32 SIMD oracle
 };
 
-double Nmse(const std::vector<float>& want, const std::vector<float>& got) {
-  double num = 0.0, den = 0.0;
-  for (size_t i = 0; i < want.size(); ++i) {
-    const double d = static_cast<double>(got[i]) - want[i];
-    num += d * d;
-    den += static_cast<double>(want[i]) * want[i];
-  }
-  return den > 0.0 ? num / den : num;
-}
-
-std::vector<SimdRow> RunSimdInt8Sweep();  // defined after TimeMs/SameBits
+std::vector<SimdRow> RunSimdSweep();  // defined after TimeMs/SameBits
 
 // ----- Training-step graph statistics --------------------------------------
 
@@ -223,23 +207,18 @@ struct StepStats {
 
 // Runs one forward+backward training step under op profiling and returns
 // the graph-node / allocation / byte counters accumulated by MakeOp.
-StepStats MeasureStep(const std::function<void()>& step, bool fused) {
-  const bool saved = tensor::FusionEnabled();
-  tensor::SetFusionEnabled(fused);
+StepStats MeasureStep(const std::function<void()>& step) {
   tensor::SetOpProfiling(true);
   tensor::ResetOpStats();
   step();
   const tensor::OpStats total = tensor::TotalOpStats();
   tensor::SetOpProfiling(false);
-  tensor::SetFusionEnabled(saved);
   return {total.nodes, total.allocs, total.bytes};
 }
 
 struct StepReport {
   std::string name;
-  StepStats fused;
-  StepStats unfused;
-  double node_reduction_pct = 0.0;
+  StepStats stats;
 };
 
 std::vector<StepReport> RunTrainingStepStats(
@@ -284,26 +263,12 @@ std::vector<StepReport> RunTrainingStepStats(
       {"dtdbd_distill_step", dtdbd_step},
   };
   for (const auto& [name, step] : steps) {
-    StepReport r;
-    r.name = name;
-    r.fused = MeasureStep(step, /*fused=*/true);
-    r.unfused = MeasureStep(step, /*fused=*/false);
-    r.node_reduction_pct =
-        r.unfused.nodes == 0
-            ? 0.0
-            : 100.0 * (1.0 - static_cast<double>(r.fused.nodes) /
-                                 static_cast<double>(r.unfused.nodes));
-    std::printf(
-        "%-20s fused:   %6llu nodes %6llu allocs %8.1f KiB\n"
-        "%-20s unfused: %6llu nodes %6llu allocs %8.1f KiB  "
-        "(node reduction %.1f%%)\n",
-        name.c_str(), static_cast<unsigned long long>(r.fused.nodes),
-        static_cast<unsigned long long>(r.fused.allocs),
-        r.fused.bytes / 1024.0, "",
-        static_cast<unsigned long long>(r.unfused.nodes),
-        static_cast<unsigned long long>(r.unfused.allocs),
-        r.unfused.bytes / 1024.0, r.node_reduction_pct);
-    reports.push_back(std::move(r));
+    const StepReport r{name, MeasureStep(step)};
+    std::printf("%-20s %6llu nodes %6llu allocs %8.1f KiB\n", name.c_str(),
+                static_cast<unsigned long long>(r.stats.nodes),
+                static_cast<unsigned long long>(r.stats.allocs),
+                r.stats.bytes / 1024.0);
+    reports.push_back(r);
   }
   return reports;
 }
@@ -341,37 +306,36 @@ bool SameBits(const FwdBwdResult& a, const FwdBwdResult& b) {
   return true;
 }
 
-std::vector<SimdRow> RunSimdInt8Sweep() {
+std::vector<SimdRow> RunSimdSweep() {
   struct Item {
     std::string name, workload;
     std::function<Tensor()> forward;
-    Tensor weight;  // quantizable weight; default-constructed -> fp32 only
   };
   std::vector<Item> items;
   {
     Tensor a = RandomTensor({128, 128}, 30);
     Tensor b = RandomTensor({128, 128}, 31);
     items.push_back({"MatMul", "a[128,128] @ b[128,128]",
-                     [a, b] { return tensor::MatMul(a, b); }, b});
+                     [a, b] { return tensor::MatMul(a, b); }});
   }
   {
     // Serving-shaped: one coalesced micro-batch through a hidden layer.
     Tensor a = RandomTensor({16, 64}, 32);
     Tensor b = RandomTensor({64, 64}, 33);
     items.push_back({"MatMul_serve", "a[16,64] @ b[64,64]",
-                     [a, b] { return tensor::MatMul(a, b); }, b});
+                     [a, b] { return tensor::MatMul(a, b); }});
   }
   {
     Tensor x = RandomTensor({128, 64}, 34);
     Tensor w = RandomTensor({64, 64}, 35);
     Tensor b = RandomTensor({64}, 36);
     items.push_back({"LinearRelu", "relu(x[128,64] @ w[64,64] + b)",
-                     [x, w, b] { return tensor::LinearRelu(x, w, b); }, w});
+                     [x, w, b] { return tensor::LinearRelu(x, w, b); }});
   }
   {
     Tensor x = RandomTensor({256, 64}, 37);
     items.push_back({"Softmax", "x[256,64]",
-                     [x] { return tensor::Softmax(x); }, Tensor()});
+                     [x] { return tensor::Softmax(x); }});
   }
   {
     Tensor table = RandomTensor({5000, 64}, 38);
@@ -381,8 +345,7 @@ std::vector<SimdRow> RunSimdInt8Sweep() {
     items.push_back({"EmbeddingGather", "table[5000,64], ids[32*24]",
                      [table, ids] {
                        return tensor::EmbeddingGather(table, ids, 32, 24);
-                     },
-                     Tensor()});
+                     }});
   }
 
   const bool saved_simd = tensor::SimdEnabled();
@@ -402,27 +365,11 @@ std::vector<SimdRow> RunSimdInt8Sweep() {
     const std::vector<float> simd_out = item.forward().ToVector();
     row.simd_bitwise_equal = SameBits(scalar_out, simd_out);
     row.simd_ms = TimeMs([&] { item.forward(); });
-
-    if (item.weight.defined()) {
-      tensor::Int8WeightSet set;
-      set.Add(item.weight.storage_id(), item.weight.data().data(),
-              item.weight.dim(0), item.weight.dim(1));
-      tensor::ScopedInt8Weights scope(&set);
-      row.has_int8 = true;
-      row.int8_nmse = Nmse(simd_out, item.forward().ToVector());
-      row.int8_ms = TimeMs([&] { item.forward(); });
-    }
     std::printf(
-        "%-16s %-28s scalar %8.4f ms  simd %8.4f ms (%.2fx, %s)",
+        "%-16s %-28s scalar %8.4f ms  simd %8.4f ms (%.2fx, %s)\n",
         row.op.c_str(), row.workload.c_str(), row.scalar_ms, row.simd_ms,
         row.simd_ms > 0 ? row.scalar_ms / row.simd_ms : 0.0,
         row.simd_bitwise_equal ? "bitwise==scalar" : "MISMATCH");
-    if (row.has_int8) {
-      std::printf("  int8 %8.4f ms (%.2fx, nmse %.2e)", row.int8_ms,
-                  row.int8_ms > 0 ? row.scalar_ms / row.int8_ms : 0.0,
-                  row.int8_nmse);
-    }
-    std::printf("\n");
     rows.push_back(std::move(row));
   }
   tensor::SetSimdEnabled(saved_simd);
@@ -491,11 +438,11 @@ int RunSweep(const FlagParser& flags) {
   }
   SetNumThreads(1);
 
-  // Scalar vs SIMD vs int8 single-thread forward sweep (DESIGN.md §8).
-  const std::vector<SimdRow> simd_rows = RunSimdInt8Sweep();
+  // Scalar vs SIMD single-thread forward sweep (DESIGN.md §8).
+  const std::vector<SimdRow> simd_rows = RunSimdSweep();
 
-  // Per-step graph statistics: fused vs DTDBD_NO_FUSION node/alloc/byte
-  // counts for one MDFEND training step and one DTDBD distillation step.
+  // Per-step graph statistics: node/alloc/byte counts for one MDFEND
+  // training step and one DTDBD distillation step.
   const text::FrozenEncoder encoder(1000, 32, 14);
   const std::vector<StepReport> steps = RunTrainingStepStats(encoder);
 
@@ -526,30 +473,17 @@ int RunSweep(const FlagParser& flags) {
     json += line;
   }
   json += "  ],\n";
-  json += "  \"simd_int8\": [\n";
+  json += "  \"simd\": [\n";
   for (size_t i = 0; i < simd_rows.size(); ++i) {
     const SimdRow& r = simd_rows[i];
     std::snprintf(line, sizeof(line),
                   "    {\"op\": \"%s\", \"workload\": \"%s\", "
                   "\"scalar_fwd_ms\": %.6f, \"simd_fwd_ms\": %.6f, "
-                  "\"simd_speedup\": %.2f, \"simd_bitwise_equal\": %s, ",
+                  "\"simd_speedup\": %.2f, \"simd_bitwise_equal\": %s}%s\n",
                   r.op.c_str(), r.workload.c_str(), r.scalar_ms, r.simd_ms,
                   r.simd_ms > 0 ? r.scalar_ms / r.simd_ms : 0.0,
-                  r.simd_bitwise_equal ? "true" : "false");
-    json += line;
-    if (r.has_int8) {
-      std::snprintf(line, sizeof(line),
-                    "\"int8_fwd_ms\": %.6f, \"int8_speedup_vs_scalar\": "
-                    "%.2f, \"int8_nmse_vs_fp32\": %.3e}%s\n",
-                    r.int8_ms,
-                    r.int8_ms > 0 ? r.scalar_ms / r.int8_ms : 0.0,
-                    r.int8_nmse, i + 1 == simd_rows.size() ? "" : ",");
-    } else {
-      std::snprintf(line, sizeof(line),
-                    "\"int8_fwd_ms\": null, \"int8_speedup_vs_scalar\": "
-                    "null, \"int8_nmse_vs_fp32\": null}%s\n",
-                    i + 1 == simd_rows.size() ? "" : ",");
-    }
+                  r.simd_bitwise_equal ? "true" : "false",
+                  i + 1 == simd_rows.size() ? "" : ",");
     json += line;
   }
   json += "  ],\n";
@@ -558,19 +492,12 @@ int RunSweep(const FlagParser& flags) {
     const StepReport& s = steps[i];
     std::snprintf(
         line, sizeof(line),
-        "    {\"step\": \"%s\", "
-        "\"fused\": {\"graph_nodes\": %llu, \"allocs\": %llu, \"bytes\": "
-        "%llu}, "
-        "\"unfused\": {\"graph_nodes\": %llu, \"allocs\": %llu, \"bytes\": "
-        "%llu}, "
-        "\"node_reduction_pct\": %.1f}%s\n",
-        s.name.c_str(), static_cast<unsigned long long>(s.fused.nodes),
-        static_cast<unsigned long long>(s.fused.allocs),
-        static_cast<unsigned long long>(s.fused.bytes),
-        static_cast<unsigned long long>(s.unfused.nodes),
-        static_cast<unsigned long long>(s.unfused.allocs),
-        static_cast<unsigned long long>(s.unfused.bytes),
-        s.node_reduction_pct, i + 1 == steps.size() ? "" : ",");
+        "    {\"step\": \"%s\", \"graph_nodes\": %llu, \"allocs\": %llu, "
+        "\"bytes\": %llu}%s\n",
+        s.name.c_str(), static_cast<unsigned long long>(s.stats.nodes),
+        static_cast<unsigned long long>(s.stats.allocs),
+        static_cast<unsigned long long>(s.stats.bytes),
+        i + 1 == steps.size() ? "" : ",");
     json += line;
   }
   json += "  ]\n}\n";

@@ -72,7 +72,6 @@
 #include "drift/adapt.h"
 #include "drift/drift.h"
 #include "dtdbd/trainer.h"
-#include "metrics/metrics.h"
 #include "models/model.h"
 #include "net/client.h"
 #include "net/protocol.h"
@@ -80,7 +79,6 @@
 #include "serve/server.h"
 #include "serve/session.h"
 #include "tensor/optim.h"
-#include "tensor/quant.h"
 #include "tensor/serialize.h"
 #include "text/frozen_encoder.h"
 #include "train/checkpoint.h"
@@ -532,87 +530,6 @@ CachePointResult RunCachePoint(const models::ModelConfig& config,
   return result;
 }
 
-// One point of the int8 sweep: a fresh server serving the SAME checkpoint
-// bytes fp32 or from int8 weight twins (DESIGN.md §8), replaying the
-// request pool closed-loop over the socket. Goodput is the perf story;
-// the accuracy story (p_fake deltas and AUC on both paths) is measured
-// separately in-process so it covers every pool request deterministically.
-struct Int8PointResult {
-  bool int8 = false;
-  double rps = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  long long errors = 0;
-  long long quantized_bytes = 0;
-  double auc = 0.0;            // offline AUC of this path over the corpus
-  double max_abs_dp = 0.0;     // vs the fp32 path, 0 for the fp32 point
-  double mean_abs_dp = 0.0;
-};
-
-Int8PointResult RunInt8Point(const models::ModelConfig& config,
-                             const serve::RequestLimits& limits,
-                             const std::vector<serve::InferenceRequest>& pool,
-                             bool int8_on, int clients, int serve_workers,
-                             int max_batch, int64_t queue_depth,
-                             std::vector<float>* p_fake_out) {
-  Int8PointResult result;
-  result.int8 = int8_on;
-
-  serve::ServerOptions options;
-  options.num_workers = serve_workers;
-  options.max_batch = max_batch;
-  options.max_queue_depth = queue_depth;
-  // Quantization happens at session construction; restore the process-wide
-  // toggle immediately so nothing else in the bench inherits it.
-  const bool saved_int8 = tensor::Int8Enabled();
-  tensor::SetInt8Enabled(int8_on);
-  serve::Server server(
-      std::make_unique<serve::InferenceSession>(
-          models::CreateModel("MDFEND", config), limits, /*model_version=*/1),
-      std::move(options));
-  tensor::SetInt8Enabled(saved_int8);
-
-  // Accuracy pass first, in-process and single-file: every pool request's
-  // p_fake on this path, for the offline AUC and the fp32-vs-int8 deltas.
-  p_fake_out->clear();
-  p_fake_out->reserve(pool.size());
-  for (const serve::InferenceRequest& request : pool) {
-    const auto got = server.Predict(request);
-    if (!got.ok()) {
-      ++result.errors;
-      p_fake_out->push_back(0.0f);
-      continue;
-    }
-    p_fake_out->push_back(got.value().p_fake);
-  }
-
-  net::SocketServerOptions net_options;
-  net_options.max_inflight_per_connection = 1024;
-  net::SocketServer net(&server, net_options);
-  if (!net.Start().ok()) {
-    result.errors = static_cast<long long>(pool.size());
-    return result;
-  }
-  std::vector<int64_t> latencies;
-  result.rps = RunClosedLoop(net.port(), pool, clients,
-                             static_cast<int>(pool.size()), &latencies,
-                             &result.errors);
-  result.p50_ms = PercentileMs(&latencies, 0.50);
-  result.p99_ms = PercentileMs(&latencies, 0.99);
-
-  const serve::HealthReport health = server.Health();
-  for (const serve::ModelHealth& m : health.models) {
-    if (m.is_default) result.quantized_bytes = m.quantized_bytes;
-  }
-  if (int8_on != health.int8_active) {
-    std::fprintf(stderr, "int8 sweep: health int8_active mismatch\n");
-    ++result.errors;
-  }
-  net.Stop();
-  server.Stop();
-  return result;
-}
-
 // One point of the drift sweep: a fresh server replaying a labeled drift
 // stream in-process (the quality loop is a serve-layer API; the socket
 // carries no labels), sampling the windowed AUC at fixed intervals.
@@ -762,9 +679,6 @@ int main(int argc, char** argv) {
   const int max_batch =
       flags.Has("max-batch") ? serve::ResolveMaxBatch(flags) : 4;
   const int64_t cache_bytes = serve::ResolveCacheBytes(flags);
-  // --int8 / DTDBD_INT8 (strict bool, default off) applies to phases 1-5's
-  // shared server; phase 6 measures int8 off AND on explicitly either way.
-  tensor::SetInt8Enabled(serve::ResolveInt8(flags));
   // Drift-sweep quality knobs, strict-parsed like every other serving flag
   // (--feedback-ring / --drift-window, env twins DTDBD_FEEDBACK_RING /
   // DTDBD_DRIFT_WINDOW).
@@ -1050,54 +964,6 @@ int main(int argc, char** argv) {
   }
   std::remove(drift_base_ckpt.c_str());
 
-  // Phase 6: int8 sweep (fresh server per point) — same checkpoint bytes
-  // served fp32 and from int8 weight twins, goodput + accuracy deltas.
-  std::vector<Int8PointResult> int8_points;
-  {
-    std::vector<float> fp32_p, int8_p;
-    for (const bool int8_on : {false, true}) {
-      Int8PointResult point = RunInt8Point(
-          config, limits, requests_pool, int8_on, clients, serve_workers,
-          max_batch, queue_depth, int8_on ? &int8_p : &fp32_p);
-      if (point.errors > 0) {
-        std::fprintf(stderr, "int8 sweep (int8=%d): %lld errors\n",
-                     int8_on ? 1 : 0, point.errors);
-        return 1;
-      }
-      int8_points.push_back(std::move(point));
-    }
-    std::vector<int> labels;
-    labels.reserve(dataset.samples.size());
-    for (const auto& sample : dataset.samples) {
-      labels.push_back(sample.label == data::kFake ? 1 : 0);
-    }
-    int8_points[0].auc = metrics::Auc(fp32_p, labels);
-    int8_points[1].auc = metrics::Auc(int8_p, labels);
-    double sum = 0.0, mx = 0.0;
-    for (size_t i = 0; i < fp32_p.size(); ++i) {
-      const double d = std::fabs(static_cast<double>(int8_p[i]) - fp32_p[i]);
-      sum += d;
-      mx = std::max(mx, d);
-    }
-    int8_points[1].max_abs_dp = mx;
-    int8_points[1].mean_abs_dp =
-        fp32_p.empty() ? 0.0 : sum / static_cast<double>(fp32_p.size());
-    for (const Int8PointResult& p : int8_points) {
-      std::printf(
-          "int8 %-3s %8.1f req/s  p50 %7.3f ms  p99 %7.3f ms  auc %.4f",
-          p.int8 ? "on" : "off", p.rps, p.p50_ms, p.p99_ms, p.auc);
-      if (p.int8) {
-        std::printf("  |dp| max %.4f mean %.4f  quantized %lld bytes",
-                    p.max_abs_dp, p.mean_abs_dp, p.quantized_bytes);
-      }
-      std::printf("\n");
-    }
-    std::printf(
-        "int8 accuracy delta: |dAUC| %.4f (fp32 %.4f vs int8 %.4f)\n",
-        std::fabs(int8_points[1].auc - int8_points[0].auc),
-        int8_points[0].auc, int8_points[1].auc);
-  }
-
   char line[1024];
   std::string json = "{\n";
   json += "  \"bench\": \"serving_socket_load\",\n";
@@ -1182,27 +1048,6 @@ int main(int argc, char** argv) {
     json += i + 1 < drift_points.size() ? ",\n" : "\n";
   }
   json += "  ],\n";
-  json += "  \"int8_sweep\": [\n";
-  for (size_t i = 0; i < int8_points.size(); ++i) {
-    const Int8PointResult& p = int8_points[i];
-    std::snprintf(
-        line, sizeof(line),
-        "    {\"int8\": %s, \"requests\": %zu, \"rps\": %.2f, "
-        "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"auc\": %.4f, "
-        "\"quantized_bytes\": %lld, \"max_abs_p_fake_delta\": %.6f, "
-        "\"mean_abs_p_fake_delta\": %.6f}%s\n",
-        p.int8 ? "true" : "false", requests_pool.size(), p.rps, p.p50_ms,
-        p.p99_ms, p.auc, p.quantized_bytes, p.max_abs_dp, p.mean_abs_dp,
-        i + 1 < int8_points.size() ? "," : "");
-    json += line;
-  }
-  json += "  ],\n";
-  std::snprintf(line, sizeof(line),
-                "  \"int8_auc_delta\": %.6f,\n  \"int8_goodput_ratio\": %.4f,\n",
-                std::fabs(int8_points[1].auc - int8_points[0].auc),
-                int8_points[0].rps > 0 ? int8_points[1].rps / int8_points[0].rps
-                                       : 0.0);
-  json += line;
   std::snprintf(line, sizeof(line), "  \"cache_speedup_zipf\": %.4f,\n",
                 cache_speedup_zipf);
   json += line;

@@ -36,7 +36,6 @@
 #include "serve/server.h"
 #include "serve/session.h"
 #include "tensor/optim.h"
-#include "tensor/quant.h"
 #include "text/frozen_encoder.h"
 #include "train/checkpoint.h"
 
@@ -103,9 +102,6 @@ int main(int argc, char** argv) {
   InitThreadsFromFlags(flags);
   const int num_requests = flags.GetInt("requests", 200);
   const int percent = flags.GetInt("percent", 25);
-  // --int8 / DTDBD_INT8 (strict bool, default off): sessions constructed
-  // below quantize their weight matrices at load and serve from the twins.
-  tensor::SetInt8Enabled(serve::ResolveInt8(flags));
 
   data::NewsDataset dataset = data::GenerateCorpus(data::MicroConfig(17));
   text::FrozenEncoder encoder(dataset.vocab->size(), 32, /*seed=*/21);
@@ -257,18 +253,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("\nwire health (v2 frame): cache %s, budget %lld bytes, int8 %s\n",
+  std::printf("\nwire health (v2 frame): cache %s, budget %lld bytes\n",
               wire_health.cache_enabled ? "on" : "off",
-              static_cast<long long>(wire_health.cache_bytes_limit),
-              wire_health.int8_active ? "on" : "off");
+              static_cast<long long>(wire_health.cache_bytes_limit));
   for (const net::WireModelHealth& m : wire_health.models) {
     std::printf(
         "    %-14s hits=%-5lld misses=%-5lld deduped=%-4lld entries=%-4lld "
-        "bytes=%lld quantized_bytes=%lld\n",
+        "bytes=%lld\n",
         m.name.c_str(), static_cast<long long>(m.hits),
         static_cast<long long>(m.misses), static_cast<long long>(m.deduped),
-        static_cast<long long>(m.entries), static_cast<long long>(m.bytes),
-        static_cast<long long>(m.quantized_bytes));
+        static_cast<long long>(m.entries), static_cast<long long>(m.bytes));
   }
   {
     net::WireHealth ignored;

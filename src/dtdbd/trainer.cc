@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "tensor/loss.h"
-#include "tensor/quant.h"
 #include "tensor/ops.h"
 #include "tensor/optim.h"
 #include "train/checkpoint.h"
@@ -202,14 +201,6 @@ std::vector<float> PredictFakeProbability(models::FakeNewsModel* model,
   DTDBD_CHECK(model != nullptr);
   if (dataset.size() == 0 || batch_size <= 0) return {};
   tensor::NoGradGuard no_grad;
-  // Under DTDBD_INT8=1 the offline oracle quantizes through the same
-  // eligibility rule as serve::InferenceSession, so serving answers stay
-  // bitwise-comparable to this reference in either weight mode.
-  std::unique_ptr<tensor::Int8WeightSet> int8;
-  if (tensor::Int8Enabled()) {
-    int8 = tensor::QuantizeWeightMatrices(model->Parameters());
-  }
-  tensor::ScopedInt8Weights int8_scope(int8.get());
   data::DataLoader loader(&dataset, batch_size, /*shuffle=*/false, 0);
   std::vector<float> probs;
   probs.reserve(dataset.size());

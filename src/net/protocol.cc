@@ -365,7 +365,8 @@ namespace {
 // 8 flag/count bytes + 9 i64 counters.
 constexpr size_t kHealthFixedBytes = 8 + 9 * 8;
 // Fixed per-model section, after the variable-length name: name_len + 2
-// flag bytes + 8 cache i64s + 2 quality i64s + 2 quality f64s + 1 int8 i64.
+// flag bytes + 8 cache i64s + 2 quality i64s + 2 quality f64s + 1 reserved
+// i64.
 constexpr size_t kHealthPerModelFixedBytes =
     2 + 2 + 8 * 8 + 2 * 8 + 2 * 8 + 8;
 // Flag/metric section of one model record, excluding the u16 name_len.
@@ -397,7 +398,7 @@ std::string EncodeHealthResponseFrame(uint64_t request_id,
   word[0] = health.cache_enabled ? 1 : 0;
   word[1] = health.degraded ? 1 : 0;
   word[2] = health.quality_degraded ? 1 : 0;
-  word[3] = health.int8_active ? 1 : 0;
+  word[3] = 0;  // reserved
   StoreU32(word + 4, static_cast<uint32_t>(health.models.size()));
   AppendBytes(&frame, word, 8);
   const int64_t top[9] = {health.cache_bytes_limit, health.cache_hits,
@@ -417,8 +418,7 @@ std::string EncodeHealthResponseFrame(uint64_t request_id,
     word[0] = m.cache_enabled ? 1 : 0;
     word[1] = static_cast<uint8_t>((m.quality_degraded ? 1 : 0) |
                                    (m.quality_auc_valid ? 2 : 0) |
-                                   (m.bias_spread_valid ? 4 : 0) |
-                                   (m.int8_active ? 8 : 0));
+                                   (m.bias_spread_valid ? 4 : 0));
     AppendBytes(&frame, word, 2);
     const int64_t fields[10] = {m.hits,        m.misses,  m.inserted,
                                 m.evicted,     m.invalidated,
@@ -432,7 +432,7 @@ std::string EncodeHealthResponseFrame(uint64_t request_id,
     AppendBytes(&frame, word, 8);
     StoreF64(word, m.bias_spread);
     AppendBytes(&frame, word, 8);
-    StoreI64(word, m.quantized_bytes);
+    StoreI64(word, 0);  // reserved
     AppendBytes(&frame, word, 8);
   }
   return frame;
@@ -446,7 +446,6 @@ Status DecodeHealthResponsePayload(const uint8_t* data, size_t len,
   health->cache_enabled = data[0] != 0;
   health->degraded = data[1] != 0;
   health->quality_degraded = data[2] != 0;
-  health->int8_active = data[3] != 0;
   const uint64_t num_models = LoadU32(data + 4);
   const uint8_t* p = data + 8;
   health->cache_bytes_limit = LoadI64(p + 0);
@@ -480,7 +479,6 @@ Status DecodeHealthResponsePayload(const uint8_t* data, size_t len,
     m.quality_degraded = (p[1] & 1) != 0;
     m.quality_auc_valid = (p[1] & 2) != 0;
     m.bias_spread_valid = (p[1] & 4) != 0;
-    m.int8_active = (p[1] & 8) != 0;
     p += 2;
     m.hits = LoadI64(p + 0);
     m.misses = LoadI64(p + 8);
@@ -494,8 +492,7 @@ Status DecodeHealthResponsePayload(const uint8_t* data, size_t len,
     m.quality_window_samples = LoadI64(p + 72);
     m.quality_auc = LoadF64(p + 80);
     m.bias_spread = LoadF64(p + 88);
-    m.quantized_bytes = LoadI64(p + 96);
-    p += 104;
+    p += 104;  // the last 8 bytes are the reserved i64
     health->models.push_back(std::move(m));
   }
   if (p != end) {

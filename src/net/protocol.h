@@ -125,9 +125,9 @@ struct WireResponse {
 // windowed-quality counters an external probe needs to judge cache
 // efficacy and drift health, not the full report.
 //
-// Payload layout:
-//   u8 cache_enabled, u8 degraded, u8 quality_degraded,
-//   u8 int8_active (default model; was the reserved byte, always 0 before),
+// Payload layout ("reserved" fields are encoded as 0 and ignored on decode;
+// an older server may have set them):
+//   u8 cache_enabled, u8 degraded, u8 quality_degraded, u8 reserved,
 //   u32 num_models,
 //   i64 cache_bytes_limit, i64 cache_hits, i64 cache_misses,
 //   i64 cache_evicted, i64 cache_bytes, i64 deduped,
@@ -135,12 +135,12 @@ struct WireResponse {
 //   then num_models repetitions of:
 //     u16 name_len, char name[name_len], u8 cache_enabled,
 //     u8 quality_flags (bit0 quality_degraded, bit1 auc_valid,
-//                       bit2 bias_spread_valid, bit3 int8_active),
+//                       bit2 bias_spread_valid, bit3 reserved),
 //     i64 hits, i64 misses, i64 inserted, i64 evicted, i64 invalidated,
 //     i64 bytes, i64 entries, i64 deduped,
 //     i64 feedback_total, i64 quality_window_samples,
 //     f64 quality_auc, f64 bias_spread,
-//     i64 quantized_bytes
+//     i64 reserved
 struct WireModelHealth {
   std::string name;
   bool cache_enabled = false;
@@ -162,17 +162,12 @@ struct WireModelHealth {
   int64_t quality_window_samples = 0;
   double quality_auc = 0.0;
   double bias_spread = 0.0;
-  // Int8 weight-quantized serving: whether this model's primary session
-  // answers from int8 weight twins, and how many bytes they occupy.
-  bool int8_active = false;
-  int64_t quantized_bytes = 0;
 };
 
 struct WireHealth {
   bool cache_enabled = false;
   bool degraded = false;
   bool quality_degraded = false;  // default model's windowed-quality flag
-  bool int8_active = false;       // default model serves from int8 weights
   int64_t cache_bytes_limit = 0;
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;

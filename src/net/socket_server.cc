@@ -318,7 +318,6 @@ void SocketServer::AnswerHealthRequest(Connection* conn,
   health.served_ok = report.served_ok;
   health.queue_depth = report.queue_depth;
   health.quality_degraded = report.quality_degraded;
-  health.int8_active = report.int8_active;
   health.feedback_recorded = report.feedback_recorded;
   health.models.reserve(report.models.size());
   for (const serve::ModelHealth& m : report.models) {
@@ -340,8 +339,6 @@ void SocketServer::AnswerHealthRequest(Connection* conn,
     wm.quality_window_samples = m.quality.window_samples;
     wm.quality_auc = m.quality.auc;
     wm.bias_spread = m.quality.bias_spread;
-    wm.int8_active = m.int8_active;
-    wm.quantized_bytes = m.quantized_bytes;
     health.models.push_back(std::move(wm));
   }
   QueueResponse(conn, EncodeHealthResponseFrame(header.request_id, health,

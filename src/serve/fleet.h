@@ -231,12 +231,6 @@ struct ModelHealth {
   ShadowHealth shadow;
   PredictionCacheHealth cache;
   QualityHealth quality;
-  // Int8 weight-quantized serving (DESIGN.md §8): whether this model's
-  // primary session serves from quantized weight twins, and how many bytes
-  // of int8 weights + scales it carries. Snapshot of the primary only —
-  // canary/shadow sessions quantize under the same process-wide toggle.
-  bool int8_active = false;
-  int64_t quantized_bytes = 0;
 };
 
 // One named model in the fleet. See the file comment for which of

@@ -112,29 +112,6 @@ int ResolveQualitySlackPercent(const FlagParser& flags) {
                                 /*invalid_value=*/5);
 }
 
-bool Int8FromEnv() {
-  const char* env = std::getenv("DTDBD_INT8");
-  if (env == nullptr) return false;
-  const std::string value(env);
-  if (value == "0") return false;
-  if (value == "1") return true;
-  DTDBD_LOG(Warning) << "DTDBD_INT8='" << value
-                     << "' is not 0 or 1; int8 serving stays off";
-  return false;
-}
-
-bool ResolveInt8(const FlagParser& flags) {
-  if (!flags.Has("int8")) return Int8FromEnv();
-  // Bare `--int8` parses as "true", `--no-int8` as "false" (FlagParser
-  // contract); explicit values accept the same spellings plus 0/1.
-  const std::string value = flags.GetString("int8", "");
-  if (value == "1" || value == "true") return true;
-  if (value == "0" || value == "false") return false;
-  DTDBD_LOG(Warning) << "--int8 '" << value
-                     << "' is not a boolean; int8 serving stays off";
-  return false;
-}
-
 Server::Server(std::unique_ptr<InferenceSession> session,
                ServerOptions options)
     : options_(std::move(options)),
@@ -1341,14 +1318,6 @@ HealthReport Server::Health() const {
         health.canary.candidate_version = m->canary->model_version();
       }
       health.shadow.active = m->shadow != nullptr;
-      // Int8 facts are session properties, fixed at load — read under mu_
-      // like the other session-pointer facts so a concurrent reload (which
-      // swaps the session inside the quiescent barrier) can't race us.
-      if (m->primary != nullptr) {
-        health.int8_active = m->primary->int8_active();
-        health.quantized_bytes = m->primary->quantized_bytes();
-      }
-      if (m->is_default) report.int8_active = health.int8_active;
       report.models.push_back(std::move(health));
     }
   }

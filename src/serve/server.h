@@ -240,16 +240,6 @@ int ResolveDriftWindow(const FlagParser& flags);
 int QualitySlackPercentFromEnv();  // DTDBD_QUALITY_SLACK; unset -> 5
 // --quality-slack flag, falling back to DTDBD_QUALITY_SLACK, then 5.
 int ResolveQualitySlackPercent(const FlagParser& flags);
-// Int8 weight-quantized serving (strict parse, default OFF — an accuracy
-// knob must never turn itself on from a typo): DTDBD_INT8 unset/"0" ->
-// off, "1" -> on, anything else -> warning + off.
-bool Int8FromEnv();
-// --int8 flag, falling back to DTDBD_INT8, then off. Follows the PR 9
-// rule: a present-but-invalid flag value pins the default (off) and never
-// falls through to the env. `--int8` / `--int8=1` -> on, `--no-int8` /
-// `--int8=0` -> off. Callers pass the result to tensor::SetInt8Enabled
-// BEFORE constructing sessions — quantization happens at session load.
-bool ResolveInt8(const FlagParser& flags);
 
 // Nearest-rank percentiles over the first `count` slots of an (unordered)
 // latency ring, in milliseconds. p50 is the ceil(0.50*count)-th smallest
@@ -328,10 +318,6 @@ struct HealthReport {
   // quality_degraded mirrors the DEFAULT model like the reload fields).
   int64_t feedback_recorded = 0;  // accepted RecordFeedback calls, fleet-wide
   bool quality_degraded = false;
-  // Int8 weight-quantized serving (per-model breakdown in models[i]).
-  // Mirrors the DEFAULT model's primary session, like the reload fields:
-  // operators can tell at a glance which kernel path answered a window.
-  bool int8_active = false;
 };
 
 // One labeled-feedback observation: "request X was answered p_fake by

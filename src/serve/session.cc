@@ -30,16 +30,6 @@ InferenceSession::InferenceSession(
       limits_(limits),
       model_version_(model_version) {
   DTDBD_CHECK(model_ != nullptr);
-  if (tensor::Int8Enabled()) {
-    // Quantize every true weight matrix at load time, via the shared
-    // eligibility rule (the offline evaluator quantizes through the same
-    // helper, keeping serve-vs-offline comparisons bitwise under int8).
-    // The set is keyed by storage identity, so only ops fed these exact
-    // parameter tensors — MatMul and LinearRelu consult it — hit the int8
-    // path; conv/embedding tables are quantized (and counted in
-    // quantized_bytes) but their kernels stay fp32.
-    int8_weights_ = tensor::QuantizeWeightMatrices(model_->Parameters());
-  }
 }
 
 StatusOr<Prediction> InferenceSession::Predict(
@@ -93,10 +83,6 @@ std::vector<StatusOr<Prediction>> InferenceSession::PredictBatch(
     batch.emotion = tensor::Tensor::FromData({m, text::kEmotionFeatureDim},
                                              std::move(emotion));
 
-    // Install the quantized weight twins (if any) for the duration of the
-    // eval forward; the kernels only consult them outside autograd, so a
-    // training step on the same thread could never see int8 weights.
-    tensor::ScopedInt8Weights int8_scope(int8_weights_.get());
     models::ModelOutput out = model_->Forward(batch, /*training=*/false);
     tensor::Tensor p = tensor::Softmax(out.logits);
     for (int64_t row = 0; row < m; ++row) {

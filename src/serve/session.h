@@ -28,7 +28,6 @@
 #include "common/status.h"
 #include "models/model.h"
 #include "serve/validation.h"
-#include "tensor/quant.h"
 
 namespace dtdbd::serve {
 
@@ -70,26 +69,10 @@ class InferenceSession {
   const RequestLimits& limits() const { return limits_; }
   int64_t model_version() const { return model_version_; }
 
-  // Int8 serving state (DESIGN.md §8): when tensor::Int8Enabled() was set
-  // at construction time, every 2-D weight matrix of the model was
-  // quantized to per-row-scaled int8 alongside the fp32 original, and
-  // PredictBatch serves MatMul/LinearRelu from the quantized twins.
-  // Hot-reload replaces the whole session, so weights are quantized
-  // exactly once per deployed model generation.
-  bool int8_active() const { return int8_weights_ != nullptr; }
-  int64_t quantized_bytes() const {
-    return int8_weights_ == nullptr ? 0 : int8_weights_->total_bytes();
-  }
-
  private:
   std::unique_ptr<models::FakeNewsModel> model_;
   RequestLimits limits_;
   int64_t model_version_;
-  // Quantized twins of the model's weight matrices, keyed by parameter
-  // storage identity; null when int8 serving is off. The set is installed
-  // as a thread-local ambient scope only around the eval forward — the
-  // training path (GradEnabled) never consults it.
-  std::unique_ptr<tensor::Int8WeightSet> int8_weights_;
 };
 
 }  // namespace dtdbd::serve

@@ -21,6 +21,17 @@ int64_t GrainForRows(int64_t work_per_row) {
   return std::max<int64_t>(1, kGrain / std::max<int64_t>(1, work_per_row));
 }
 
+// [B,C] scores with one label in [0,C) per row.
+void CheckLabels(const Tensor& scores, const std::vector<int>& labels) {
+  DTDBD_CHECK_EQ(scores.ndim(), 2);
+  const int64_t b = scores.dim(0), c = scores.dim(1);
+  DTDBD_CHECK_EQ(static_cast<int64_t>(labels.size()), b);
+  for (int64_t i = 0; i < b; ++i) {
+    DTDBD_CHECK_GE(labels[static_cast<size_t>(i)], 0);
+    DTDBD_CHECK_LT(labels[static_cast<size_t>(i)], c);
+  }
+}
+
 // Row-wise softmax with temperature, sharded over rows; also fills log
 // probabilities if log_out != nullptr. The temperature is applied as a
 // multiplication by 1/tau, after which each row runs the exact LogSoftmax
@@ -84,7 +95,7 @@ void SoftmaxCrossEntropyBackward(Node* self) {
 const Op* const kSoftmaxCrossEntropy = OpRegistry::Get().Register(
     {"SoftmaxCrossEntropy", 1, &SoftmaxCrossEntropyBackward});
 
-// ----- NllLoss (reference half of the unfused cross entropy) -----
+// ----- NllLoss (the oracle half of CrossEntropyLoss) -----
 
 struct NllState {
   std::vector<int> labels;
@@ -104,22 +115,6 @@ void NllBackward(Node* self) {
 
 const Op* const kNllLoss =
     OpRegistry::Get().Register({"NllLoss", 1, &NllBackward});
-
-// Mean negative log-likelihood of row-wise log-probabilities.
-Tensor NllLossOp(const Tensor& logp_in, const std::vector<int>& labels) {
-  Tensor logp = Contiguous(logp_in);
-  const int64_t b = logp.dim(0), c = logp.dim(1);
-  ScopedOpTimer timer(kNllLoss);
-  auto state = std::make_shared<NllState>();
-  state->labels = labels;
-  const float* lp = logp.data().data();
-  float loss = 0.0f;
-  for (int64_t i = 0; i < b; ++i) {
-    loss -= lp[i * c + labels[static_cast<size_t>(i)]];
-  }
-  loss /= static_cast<float>(b);
-  return MakeOp(kNllLoss, {1}, {loss}, {logp}, state);
-}
 
 // ----- SoftmaxKl (fused temperature softmax + KL) -----
 
@@ -163,7 +158,7 @@ void SoftmaxKlBackward(Node* self) {
 const Op* const kSoftmaxKl =
     OpRegistry::Get().Register({"SoftmaxKl", 1, &SoftmaxKlBackward});
 
-// ----- KlFromLogProbs (reference half of the unfused distillation KL) -----
+// ----- KlFromLogProbs (the oracle half of DistillKlLoss) -----
 
 struct KlFromLogProbsState {
   std::vector<float> pt;  // exp(teacher log-probs)
@@ -189,29 +184,6 @@ void KlFromLogProbsBackward(Node* self) {
 
 const Op* const kKlFromLogProbs = OpRegistry::Get().Register(
     {"KlFromLogProbs", 2, &KlFromLogProbsBackward});
-
-// tau^2 * mean-row KL between two log-probability tensors.
-Tensor KlFromLogProbsOp(const Tensor& lt_in, const Tensor& ls_in, float tau) {
-  Tensor lt = Contiguous(lt_in);
-  Tensor ls = Contiguous(ls_in);
-  const int64_t c = lt.shape().back();
-  const int64_t b = c > 0 ? lt.numel() / c : 0;
-  ScopedOpTimer timer(kKlFromLogProbs);
-  auto state = std::make_shared<KlFromLogProbsState>();
-  state->tau = tau;
-  state->pt.resize(static_cast<size_t>(lt.numel()));
-  const float* plt = lt.data().data();
-  const float* pls = ls.data().data();
-  float* ppt = state->pt.data();
-  float loss = 0.0f;
-  for (int64_t i = 0; i < b * c; ++i) {
-    const float pt = std::exp(plt[i]);
-    ppt[i] = pt;
-    if (pt > 0.0f) loss += pt * (plt[i] - pls[i]);
-  }
-  loss = loss * tau * tau / static_cast<float>(b);
-  return MakeOp(kKlFromLogProbs, {1}, {loss}, {lt, ls}, state);
-}
 
 // ----- NegativeEntropyLoss -----
 
@@ -270,16 +242,8 @@ const Op* const kMseLoss =
 
 Tensor CrossEntropyLoss(const Tensor& logits_in,
                         const std::vector<int>& labels) {
-  DTDBD_CHECK_EQ(logits_in.ndim(), 2);
+  CheckLabels(logits_in, labels);
   const int64_t b = logits_in.dim(0), c = logits_in.dim(1);
-  DTDBD_CHECK_EQ(static_cast<int64_t>(labels.size()), b);
-  for (int64_t i = 0; i < b; ++i) {
-    DTDBD_CHECK_GE(labels[static_cast<size_t>(i)], 0);
-    DTDBD_CHECK_LT(labels[static_cast<size_t>(i)], c);
-  }
-  if (!FusionEnabled()) {
-    return NllLossOp(LogSoftmax(logits_in), labels);
-  }
   Tensor logits = Contiguous(logits_in);
   ScopedOpTimer timer(kSoftmaxCrossEntropy);
   auto state = std::make_shared<CrossEntropyState>();
@@ -303,13 +267,6 @@ Tensor DistillKlLoss(const Tensor& teacher_logits,
       << "DistillKlLoss: teacher " << ShapeToString(teacher_logits.shape())
       << " vs student " << ShapeToString(student_logits_in.shape());
   const float inv_tau = 1.0f / tau;
-  if (!FusionEnabled()) {
-    // Reference composition. The teacher enters detached in both paths: it
-    // is knowledge, not a trainee.
-    Tensor lt = LogSoftmax(ScalarMul(teacher_logits.Detach(), inv_tau));
-    Tensor ls = LogSoftmax(ScalarMul(student_logits_in, inv_tau));
-    return KlFromLogProbsOp(lt, ls, tau);
-  }
   Tensor teacher = Contiguous(teacher_logits);
   Tensor student = Contiguous(student_logits_in);
   const int64_t c = teacher.shape().back();
@@ -336,6 +293,48 @@ Tensor DistillKlLoss(const Tensor& teacher_logits,
   // Only the student receives gradient: the teacher is knowledge, not a
   // trainee (paper: teacher weights are frozen during distillation).
   return MakeOp(kSoftmaxKl, {1}, {loss}, {student}, state);
+}
+
+Tensor NllLoss(const Tensor& logp_in, const std::vector<int>& labels) {
+  CheckLabels(logp_in, labels);
+  Tensor logp = Contiguous(logp_in);
+  const int64_t b = logp.dim(0), c = logp.dim(1);
+  ScopedOpTimer timer(kNllLoss);
+  auto state = std::make_shared<NllState>();
+  state->labels = labels;
+  const float* lp = logp.data().data();
+  float loss = 0.0f;
+  for (int64_t i = 0; i < b; ++i) {
+    loss -= lp[i * c + labels[static_cast<size_t>(i)]];
+  }
+  loss /= static_cast<float>(b);
+  return MakeOp(kNllLoss, {1}, {loss}, {logp}, state);
+}
+
+Tensor KlFromLogProbs(const Tensor& lt_in, const Tensor& ls_in, float tau) {
+  DTDBD_CHECK_GT(tau, 0.0f);
+  DTDBD_CHECK(lt_in.shape() == ls_in.shape())
+      << "KlFromLogProbs: teacher " << ShapeToString(lt_in.shape())
+      << " vs student " << ShapeToString(ls_in.shape());
+  Tensor lt = Contiguous(lt_in);
+  Tensor ls = Contiguous(ls_in);
+  const int64_t c = lt.shape().back();
+  const int64_t b = c > 0 ? lt.numel() / c : 0;
+  ScopedOpTimer timer(kKlFromLogProbs);
+  auto state = std::make_shared<KlFromLogProbsState>();
+  state->tau = tau;
+  state->pt.resize(static_cast<size_t>(lt.numel()));
+  const float* plt = lt.data().data();
+  const float* pls = ls.data().data();
+  float* ppt = state->pt.data();
+  float loss = 0.0f;
+  for (int64_t i = 0; i < b * c; ++i) {
+    const float pt = std::exp(plt[i]);
+    ppt[i] = pt;
+    if (pt > 0.0f) loss += pt * (plt[i] - pls[i]);
+  }
+  loss = loss * tau * tau / static_cast<float>(b);
+  return MakeOp(kKlFromLogProbs, {1}, {loss}, {lt, ls}, state);
 }
 
 Tensor NegativeEntropyLoss(const Tensor& logits_in) {

@@ -3,11 +3,9 @@
 //
 // CrossEntropyLoss and DistillKlLoss record a single fused graph node
 // (SoftmaxCrossEntropy / SoftmaxKl) that computes the softmax once and
-// applies the closed-form backward. When fusion is disabled
-// (DTDBD_NO_FUSION / SetFusionEnabled(false)) they fall back to the
-// reference composition of primitive ops (LogSoftmax + NllLoss, resp.
-// ScalarMul + LogSoftmax + KlFromLogProbs); both paths produce bitwise
-// identical losses and gradients.
+// applies the closed-form backward. Each is pinned bitwise, loss and
+// gradients, to a reference composition of primitive ops built from
+// NllLoss and KlFromLogProbs below (tests/fused_oracles.h).
 #ifndef DTDBD_TENSOR_LOSS_H_
 #define DTDBD_TENSOR_LOSS_H_
 
@@ -26,6 +24,18 @@ Tensor CrossEntropyLoss(const Tensor& logits, const std::vector<int>& labels);
 // it requires grad), matching the frozen-teacher setting.
 Tensor DistillKlLoss(const Tensor& teacher_logits, const Tensor& student_logits,
                      float tau);
+
+// Oracle for CrossEntropyLoss: mean negative log-likelihood of row-wise
+// log-probabilities logp [B,C]. NllLoss(LogSoftmax(logits), labels) is
+// bitwise equal to CrossEntropyLoss(logits, labels), loss and gradient.
+Tensor NllLoss(const Tensor& logp, const std::vector<int>& labels);
+
+// Oracle for DistillKlLoss: tau^2 * mean_rows KL(exp(lt) || exp(ls)) over
+// two same-shape log-probability tensors. Only ls receives gradient.
+//   KlFromLogProbs(LogSoftmax(ScalarMul(teacher.Detach(), 1/tau)),
+//                  LogSoftmax(ScalarMul(student, 1/tau)), tau)
+// is bitwise equal to DistillKlLoss(teacher, student, tau).
+Tensor KlFromLogProbs(const Tensor& lt, const Tensor& ls, float tau);
 
 // Negative entropy of softmax(logits), averaged over rows (DTDBD Eq. 10):
 //   mean_rows sum_c p_c log p_c.

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "tensor/quant.h"
 #include "tensor/registry.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -100,8 +99,7 @@ void CheckSameShape(const char* op, const Tensor& a, const Tensor& b) {
 // NaN/±0 semantics as the scalar predicates, and identical accumulation
 // order — so the vector paths are bitwise identical to scalar at every
 // thread count. Dispatch is SimdEnabled() (DTDBD_NO_SIMD pins scalar)
-// && CpuHasAvx512f(). The int8 helpers at the bottom are the exception:
-// they serve the NMSE-bounded quantized eval path and may use fmadd.
+// && CpuHasAvx512f().
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define DTDBD_SIMD_AVX512 1
@@ -312,71 +310,9 @@ __attribute__((target("avx512f"))) void LayerNormRowAvx512(
     o[j] = pg[j] * h + pbeta[j];
   }
 }
-
-// ----- Int8 dequantize-in-register kernels (NMSE-bounded, NOT bitwise) --
-
-// o[j] += float(q[j]) * m for j in [0, n). fmadd is fine here: the int8
-// path's contract is NMSE-bounded accuracy, not bitwise parity.
-__attribute__((target("avx512f"))) void Int8AxpyRowAvx512(float* o,
-                                                          const int8_t* q,
-                                                          float m, int64_t n) {
-  const __m512 vm = _mm512_set1_ps(m);
-  int64_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    const __m128i qi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + j));
-    const __m512 f = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(qi));
-    _mm512_storeu_ps(o + j,
-                     _mm512_fmadd_ps(f, vm, _mm512_loadu_ps(o + j)));
-  }
-  for (; j < n; ++j) o[j] += static_cast<float>(q[j]) * m;
-}
 #else
 inline bool UseAvx512() { return false; }
 #endif  // x86_64
-
-// Looks up the quantized twin of weight `w` for the int8 eval path: only
-// outside autograd (training never sees int8), only when a session has
-// installed an ambient Int8WeightSet, and only when the quantized shape
-// matches the operand exactly.
-const QuantizedMatrix* Int8WeightFor(const Tensor& w, int64_t k, int64_t n) {
-  if (GradEnabled()) return nullptr;
-  const Int8WeightSet* set = ActiveInt8Weights();
-  if (set == nullptr) return nullptr;
-  const QuantizedMatrix* q = set->Find(w.storage_id());
-  if (q == nullptr || q->rows != k || q->cols != n) return nullptr;
-  return q;
-}
-
-// The int8 twin of the ikj matmul accumulation for output rows [s, e):
-// per (i, kk) the fp32 activation is folded with the row scale into one
-// multiplier, then the int8 row of B is dequantized in-register.
-void Int8MatMulRows(const Reader& ra, const QuantizedMatrix& qb, float* po,
-                    int64_t k, int64_t n, int64_t s, int64_t e) {
-#ifdef DTDBD_SIMD_AVX512
-  const bool vec = CpuHasAvx512f() && n >= 16;
-#endif
-  for (int64_t i = s; i < e; ++i) {
-    const float* arow = ra.row(i);
-    float* orow = po + i * n;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      const float m = av * qb.scales[static_cast<size_t>(kk)];
-      if (m == 0.0f) continue;  // all-zero weight row
-      const int8_t* qrow = qb.q.data() + kk * n;
-#ifdef DTDBD_SIMD_AVX512
-      if (vec) {
-        Int8AxpyRowAvx512(orow, qrow, m, n);
-        continue;
-      }
-#endif
-      for (int64_t j = 0; j < n; ++j) {
-        orow[j] += static_cast<float>(qrow[j]) * m;
-      }
-    }
-  }
-}
 
 // The exact ikj accumulation of MatMul (zero-skip per A element) for
 // output rows [s, e) — shared by MatMul and the fused LinearRelu. `vec`
@@ -1580,19 +1516,12 @@ Tensor MatMul(const Tensor& a_in, const Tensor& b_in) {
   ScopedOpTimer timer(kMatMul);
   const Reader ra = ReadOf(a.node().get());
   const Reader rb = ReadOf(b.node().get());
-  // Serving eval path: when the session installed an int8 twin of this
-  // weight, dequantize-in-register instead of streaming the fp32 rows.
-  const QuantizedMatrix* qb = Int8WeightFor(b, k, n);
   std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
   float* po = out.data();
   const bool vec = UseAvx512() && n >= 16;
   // ikj order per output row: streaming access to b and out rows. Each
   // output row is produced by exactly one shard.
   ParallelFor(m, GrainForRows(k * n), [&](int64_t s, int64_t e) {
-    if (qb != nullptr) {
-      Int8MatMulRows(ra, *qb, po, k, n, s, e);
-      return;
-    }
     MatMulAccumulateRows(ra, rb, po, k, n, s, e, vec);
   });
   return MakeOp(kMatMul, {m, n}, std::move(out), {a, b});
@@ -2033,9 +1962,6 @@ Tensor Conv1dSeq(const Tensor& x_in, const Tensor& weight_in,
 
 Tensor LinearRelu(const Tensor& x_in, const Tensor& w_in,
                   const Tensor& bias_in) {
-  if (!FusionEnabled()) {
-    return Relu(AddBias(MatMul(x_in, w_in), bias_in));
-  }
   DTDBD_CHECK_EQ(x_in.ndim(), 2);
   DTDBD_CHECK_EQ(w_in.ndim(), 2);
   DTDBD_CHECK_EQ(bias_in.ndim(), 1);
@@ -2054,18 +1980,12 @@ Tensor LinearRelu(const Tensor& x_in, const Tensor& w_in,
   auto state = std::make_shared<LinearReluState>();
   state->mask.resize(static_cast<size_t>(m * n));
   float* pmask = state->mask.data();
-  // Serving eval path: int8 twin of the weight, fp32 bias/ReLU epilogue.
-  const QuantizedMatrix* qw = Int8WeightFor(w, k, n);
   std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
   float* po = out.data();
   const bool vec = UseAvx512() && n >= 16;
   // MatMul's exact ikj accumulation, then bias-add + clamp in place.
   ParallelFor(m, GrainForRows(k * n), [&](int64_t s, int64_t e) {
-    if (qw != nullptr) {
-      Int8MatMulRows(ra, *qw, po, k, n, s, e);
-    } else {
-      MatMulAccumulateRows(ra, rb, po, k, n, s, e, vec);
-    }
+    MatMulAccumulateRows(ra, rb, po, k, n, s, e, vec);
     for (int64_t i = s; i < e; ++i) {
       float* orow = po + i * n;
       float* mrow = pmask + i * n;
@@ -2088,9 +2008,6 @@ Tensor LinearRelu(const Tensor& x_in, const Tensor& w_in,
 
 Tensor Conv1dSeqRelu(const Tensor& x_in, const Tensor& weight_in,
                      const Tensor& bias_in, int64_t kernel_width) {
-  if (!FusionEnabled()) {
-    return Relu(Conv1dSeq(x_in, weight_in, bias_in, kernel_width));
-  }
   DTDBD_CHECK_EQ(x_in.ndim(), 3);
   DTDBD_CHECK_EQ(weight_in.ndim(), 2);
   DTDBD_CHECK_EQ(bias_in.ndim(), 1);
@@ -2129,11 +2046,6 @@ Tensor MatVecOverTime(const Tensor& x_in, const Tensor& v_in) {
       << "MatVecOverTime: v must be [N] or [N,1], got "
       << ShapeToString(v_in.shape());
   DTDBD_CHECK_EQ(v_in.dim(0), n);
-  if (!FusionEnabled()) {
-    Tensor flat = Reshape(x_in, {b * t, n});
-    Tensor v2 = v_in.ndim() == 2 ? v_in : Reshape(v_in, {n, 1});
-    return Reshape(MatMul(flat, v2), {b, t});
-  }
   Tensor x = Contiguous(x_in);
   Tensor v = EnsureReadable(v_in);
   ScopedOpTimer timer(kMatVecOverTime);

@@ -89,8 +89,8 @@ Tensor Conv1dSeq(const Tensor& x, const Tensor& weight, const Tensor& bias,
 // ----- Fused chains -----
 // Each fused entry point records ONE graph node (one output buffer, saved
 // ReLU mask) and is bitwise identical — forward and backward — to the
-// unfused composition it replaces, which it also self-falls-back to when
-// fusion is disabled (DTDBD_NO_FUSION / SetFusionEnabled(false)).
+// unfused composition it replaces; those compositions are the test oracles
+// in tests/fused_oracles.h.
 //
 // relu(x[m,k] @ w[k,n] + bias[n]); replaces Relu(AddBias(MatMul(x, w), b)).
 Tensor LinearRelu(const Tensor& x, const Tensor& w, const Tensor& bias);

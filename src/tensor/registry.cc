@@ -46,16 +46,6 @@ std::vector<std::unique_ptr<AtomicOpStats>>& StatsSlabs() {
 
 AtomicOpStats& SlabOf(const Op* op) { return *StatsSlabs()[op->id]; }
 
-bool FusionDefault() {
-  const char* env = std::getenv("DTDBD_NO_FUSION");
-  return env == nullptr || std::string(env) == "0";
-}
-
-std::atomic<bool>& FusionFlag() {
-  static std::atomic<bool> flag{FusionDefault()};
-  return flag;
-}
-
 bool SimdDefault() {
   const char* env = std::getenv("DTDBD_NO_SIMD");
   return env == nullptr || std::string(env) == "0";
@@ -67,14 +57,6 @@ std::atomic<bool>& SimdFlag() {
 }
 
 }  // namespace
-
-bool FusionEnabled() {
-  return FusionFlag().load(std::memory_order_relaxed);
-}
-
-void SetFusionEnabled(bool enabled) {
-  FusionFlag().store(enabled, std::memory_order_relaxed);
-}
 
 bool SimdEnabled() {
   return SimdFlag().load(std::memory_order_relaxed);

@@ -78,17 +78,6 @@ Tensor MakeOp(const Op* op, Shape shape, std::vector<float> data,
 Tensor MakeView(const Op* op, Shape shape, Shape strides, int64_t offset,
                 const Tensor& base, std::shared_ptr<void> saved = nullptr);
 
-// ----- Op fusion toggle -----
-
-// Fused kernels (LinearRelu, Conv1dSeqRelu, MatVecOverTime, and the
-// softmax-fused losses SoftmaxCrossEntropy / SoftmaxKl) are enabled by
-// default. Every fused public entry point self-falls-back to its unfused
-// reference composition of primitive ops when fusion is off, so callers
-// never branch. The initial value comes from the environment: setting
-// DTDBD_NO_FUSION to anything other than "0" disables fusion process-wide.
-bool FusionEnabled();
-void SetFusionEnabled(bool enabled);
-
 // ----- SIMD dispatch toggle -----
 
 // Runtime-dispatched vector fast paths (the AVX-512 row-blocked Conv1dSeq

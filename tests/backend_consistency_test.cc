@@ -21,6 +21,7 @@
 #include "tensor/ops.h"
 #include "tensor/registry.h"
 #include "tensor/tensor.h"
+#include "fused_oracles.h"
 
 namespace dtdbd::tensor {
 namespace {
@@ -29,19 +30,6 @@ Tensor Rand(const Shape& shape, uint64_t seed, bool requires_grad = true) {
   Rng rng(seed);
   return NormalInit(shape, 1.0f, &rng, requires_grad);
 }
-
-// Forces the fusion flag for the duration of a case build so the suite is
-// deterministic regardless of the DTDBD_NO_FUSION environment.
-class ScopedFusion {
- public:
-  explicit ScopedFusion(bool enabled) : saved_(FusionEnabled()) {
-    SetFusionEnabled(enabled);
-  }
-  ~ScopedFusion() { SetFusionEnabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 // Forces the SIMD dispatch flag: off produces the scalar oracle, on runs
 // the AVX-512 fast paths (where the CPU has them; on other machines both
@@ -170,9 +158,7 @@ std::vector<Case> AllCases() {
   }});
 
   cases.push_back({"losses", [] {
-    // Fusion forced ON: covers the fused SoftmaxCrossEntropy / SoftmaxKl
-    // single-node paths.
-    ScopedFusion fusion(true);
+    // Covers the fused SoftmaxCrossEntropy / SoftmaxKl single-node paths.
     Tensor logits = Rand({30, 4}, 17);
     std::vector<int> labels(30);
     for (int i = 0; i < 30; ++i) labels[i] = i % 4;
@@ -186,9 +172,8 @@ std::vector<Case> AllCases() {
   }});
 
   cases.push_back({"fused_chains", [] {
-    // Fusion forced ON: the fused kernels themselves must satisfy the
-    // thread-count determinism contract.
-    ScopedFusion fusion(true);
+    // The fused kernels themselves must satisfy the thread-count
+    // determinism contract.
     Tensor x = Rand({48, 32}, 21);
     Tensor w = Rand({32, 40}, 22);
     Tensor bias = Rand({40}, 23);
@@ -213,7 +198,6 @@ std::vector<Case> AllCases() {
     // must hand off to its scalar tail mid-row and mid-block. Covers
     // MatMul, LinearRelu, Softmax, LogSoftmax, LayerNorm, MatVecOverTime,
     // EmbeddingGather, and Conv1dSeq with 16-block + remainder shapes.
-    ScopedFusion fusion(true);
     Tensor x = Rand({19, 17}, 30);
     Tensor w = Rand({17, 23}, 31);
     Tensor m = MatMul(x, w);
@@ -242,15 +226,15 @@ std::vector<Case> AllCases() {
   }});
 
   cases.push_back({"unfused_reference", [] {
-    // Fusion forced OFF: covers the reference composition ops (NllLoss,
-    // KlFromLogProbs) that the fused losses fall back to.
-    ScopedFusion fusion(false);
+    // The loss oracles the fused losses are pinned to: covers NllLoss and
+    // KlFromLogProbs.
     Tensor logits = Rand({30, 4}, 28);
     std::vector<int> labels(30);
     for (int i = 0; i < 30; ++i) labels[i] = (i + 1) % 4;
     Tensor teacher = Rand({30, 4}, 29, /*requires_grad=*/false);
-    Tensor loss = Add(CrossEntropyLoss(logits, labels),
-                      DistillKlLoss(teacher, logits, 1.5f));
+    Tensor loss =
+        Add(::dtdbd::testing::CrossEntropyOracle(logits, labels),
+            ::dtdbd::testing::DistillKlOracle(teacher, logits, 1.5f));
     return Built{{logits}, loss};
   }});
 

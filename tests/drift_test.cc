@@ -899,7 +899,7 @@ namespace {
 
 // ----- v2 health frame quality fields -----
 
-TEST(DriftHealthFrameTest, QualityFieldsRoundTrip) {
+WireHealth QualityHealthFixture() {
   WireHealth health;
   health.cache_enabled = true;
   health.degraded = false;
@@ -917,16 +917,22 @@ TEST(DriftHealthFrameTest, QualityFieldsRoundTrip) {
   m.quality_window_samples = 17;
   m.quality_auc = 0.8125;
   m.bias_spread = 0.25;
-  m.int8_active = true;
-  m.quantized_bytes = 123456;
   health.models.push_back(m);
-  health.int8_active = true;
+  return health;
+}
 
-  const std::string frame = EncodeHealthResponseFrame(7, health);
-  WireHealth decoded;
-  const Status status = DecodeHealthResponsePayload(
+Status DecodeFrame(const std::string& frame, size_t drop_tail,
+                   WireHealth* out) {
+  return DecodeHealthResponsePayload(
       reinterpret_cast<const uint8_t*>(frame.data()) + kFrameHeaderSize,
-      frame.size() - kFrameHeaderSize, &decoded);
+      frame.size() - kFrameHeaderSize - drop_tail, out);
+}
+
+TEST(DriftHealthFrameTest, QualityFieldsRoundTrip) {
+  const std::string frame =
+      EncodeHealthResponseFrame(7, QualityHealthFixture());
+  WireHealth decoded;
+  const Status status = DecodeFrame(frame, 0, &decoded);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_TRUE(decoded.quality_degraded);
   EXPECT_EQ(decoded.feedback_recorded, 29);
@@ -938,18 +944,45 @@ TEST(DriftHealthFrameTest, QualityFieldsRoundTrip) {
   EXPECT_EQ(decoded.models[0].quality_window_samples, 17);
   EXPECT_DOUBLE_EQ(decoded.models[0].quality_auc, 0.8125);
   EXPECT_DOUBLE_EQ(decoded.models[0].bias_spread, 0.25);
-  EXPECT_TRUE(decoded.int8_active);
-  EXPECT_TRUE(decoded.models[0].int8_active);
-  EXPECT_EQ(decoded.models[0].quantized_bytes, 123456);
 
-  // Truncation inside the quality/int8 tail is a typed decode error, not a
-  // partial model record.
+  // Truncation inside the quality/reserved tail is a typed decode error,
+  // not a partial model record.
   WireHealth ignored;
-  EXPECT_EQ(DecodeHealthResponsePayload(
-                reinterpret_cast<const uint8_t*>(frame.data()) +
-                    kFrameHeaderSize,
-                frame.size() - kFrameHeaderSize - 8, &ignored)
-                .code(),
+  EXPECT_EQ(DecodeFrame(frame, 8, &ignored).code(),
+            StatusCode::kInvalidArgument);
+}
+
+// Three health-frame fields are reserved: byte 3 of the fixed part, bit 3
+// of each model's quality_flags, and the trailing per-model i64. The
+// encoder writes them as 0; an older server may have sent them non-zero.
+// Such a frame must still decode, and re-encoding the result must give
+// back the clean frame byte for byte: the reserved fields are dropped and
+// every other field survives.
+TEST(DriftHealthFrameTest, ReservedFieldsIgnoredOnDecode) {
+  const WireHealth health = QualityHealthFixture();
+  const std::string clean = EncodeHealthResponseFrame(7, health);
+  // Payload offsets: 80-byte fixed part, then the model record's u16
+  // name_len, name, u8 cache_enabled, u8 quality_flags, ..., i64 reserved.
+  const size_t fixed_reserved = kFrameHeaderSize + 3;
+  const size_t quality_flags =
+      kFrameHeaderSize + 80 + 2 + health.models[0].name.size() + 1;
+  const size_t model_reserved = clean.size() - 8;
+  EXPECT_EQ(clean[fixed_reserved], 0);
+  EXPECT_EQ(clean[quality_flags] & 8, 0);
+  EXPECT_EQ(clean.substr(model_reserved), std::string(8, '\0'));
+
+  std::string old_server = clean;
+  old_server[fixed_reserved] = 1;
+  old_server[quality_flags] = static_cast<char>(clean[quality_flags] | 8);
+  old_server.replace(model_reserved, 8, "\x40\xe2\x01\0\0\0\0\0", 8);
+
+  WireHealth decoded;
+  const Status status = DecodeFrame(old_server, 0, &decoded);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(EncodeHealthResponseFrame(7, decoded), clean);
+
+  WireHealth ignored;
+  EXPECT_EQ(DecodeFrame(old_server, 8, &ignored).code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -1,9 +1,9 @@
 // Fused-op parity suite: each fused op (LinearRelu, Conv1dSeqRelu,
 // MatVecOverTime, SoftmaxCrossEntropy, SoftmaxKl) must produce BITWISE
 // identical losses AND gradients to the unfused composition it replaces —
-// at every thread count. This is the contract that lets fusion default to
-// on: enabling DTDBD_NO_FUSION (or SetFusionEnabled(false)) can never
-// change a training run, only its speed and graph size.
+// at every thread count. The compositions are the oracles in
+// fused_oracles.h; fusion changes a training run's speed and graph size,
+// never its numbers.
 //
 // Comparison graphs keep at most two gradient contributions per compared
 // leaf element: with float accumulation, (0+a)+b == (0+b)+a bitwise, but
@@ -23,21 +23,17 @@
 #include "tensor/ops.h"
 #include "tensor/registry.h"
 #include "tensor/tensor.h"
+#include "fused_oracles.h"
 #include "gradcheck.h"
 
 namespace dtdbd::tensor {
 namespace {
 
-class FusionGuard {
- public:
-  explicit FusionGuard(bool enabled) : saved_(FusionEnabled()) {
-    SetFusionEnabled(enabled);
-  }
-  ~FusionGuard() { SetFusionEnabled(saved_); }
-
- private:
-  bool saved_;
-};
+using ::dtdbd::testing::Conv1dSeqReluOracle;
+using ::dtdbd::testing::CrossEntropyOracle;
+using ::dtdbd::testing::DistillKlOracle;
+using ::dtdbd::testing::LinearReluOracle;
+using ::dtdbd::testing::MatVecOverTimeOracle;
 
 Tensor Rand(const Shape& shape, uint64_t seed, bool requires_grad = true) {
   Rng rng(seed);
@@ -56,14 +52,16 @@ struct Run {
 };
 
 // Builds a scalar loss from fresh leaves, runs backward, and returns the
-// loss plus every leaf gradient.
+// loss plus every leaf gradient. A builder takes `fused`: true builds the
+// graph with the fused op, false with its oracle.
 struct Graph {
   std::vector<Tensor> leaves;
   Tensor loss;
 };
+using Builder = std::function<Graph(bool fused)>;
 
-Run Execute(const std::function<Graph()>& build) {
-  Graph g = build();
+Run Execute(const Builder& build, bool fused) {
+  Graph g = build(fused);
   Run r;
   r.dump = DumpGraph(g.loss);
   g.loss.Backward();
@@ -81,28 +79,21 @@ void ExpectRunsBitwiseEqual(const Run& a, const Run& b, const char* what) {
   }
 }
 
-// Runs `build` fused and unfused and asserts bitwise parity; then sweeps
-// the fused path over thread counts against the unfused single-threaded
-// reference. `fused_op` must appear in the fused dump and not the unfused
-// one, proving the flag actually switched paths.
-void CheckFusedParity(const std::function<Graph()>& build,
-                      const char* fused_op) {
+// Runs the oracle single-threaded, then sweeps the fused graph over thread
+// counts and asserts bitwise parity with it. `fused_op` must appear in the
+// fused dump and not the oracle one, proving the two graphs differ.
+void CheckFusedParity(const Builder& build, const char* fused_op) {
   SetNumThreads(1);
-  Run unfused;
-  {
-    FusionGuard fusion(false);
-    unfused = Execute(build);
-  }
+  const Run unfused = Execute(build, /*fused=*/false);
   EXPECT_EQ(unfused.dump.find(std::string("= ") + fused_op + "("),
             std::string::npos)
-      << fused_op << " recorded with fusion disabled";
+      << fused_op << " recorded by its oracle";
   for (int threads : {1, 2, 4, 8}) {
     SetNumThreads(threads);
-    FusionGuard fusion(true);
-    const Run fused = Execute(build);
+    const Run fused = Execute(build, /*fused=*/true);
     EXPECT_NE(fused.dump.find(std::string("= ") + fused_op + "("),
               std::string::npos)
-        << fused_op << " not recorded with fusion enabled";
+        << fused_op << " not recorded by the fused graph";
     SCOPED_TRACE(std::string(fused_op) + " threads=" +
                  std::to_string(threads));
     ExpectRunsBitwiseEqual(unfused, fused, fused_op);
@@ -117,32 +108,35 @@ class FusedOpsTest : public ::testing::Test {
 
 TEST_F(FusedOpsTest, LinearReluMatchesUnfusedBitwise) {
   CheckFusedParity(
-      [] {
+      [](bool fused) {
         Tensor x = Rand({48, 32}, 1);
         Tensor w = Rand({32, 40}, 2);
         Tensor b = Rand({40}, 3);
-        return Graph{{x, w, b}, Sum(LinearRelu(x, w, b))};
+        return Graph{{x, w, b}, Sum(fused ? LinearRelu(x, w, b)
+                                          : LinearReluOracle(x, w, b))};
       },
       "LinearRelu");
 }
 
 TEST_F(FusedOpsTest, Conv1dSeqReluMatchesUnfusedBitwise) {
   CheckFusedParity(
-      [] {
+      [](bool fused) {
         Tensor x = Rand({5, 20, 48}, 4);
         Tensor w = Rand({24, 3 * 48}, 5);
         Tensor b = Rand({24}, 6);
-        return Graph{{x, w, b}, Sum(Conv1dSeqRelu(x, w, b, 3))};
+        return Graph{{x, w, b}, Sum(fused ? Conv1dSeqRelu(x, w, b, 3)
+                                          : Conv1dSeqReluOracle(x, w, b, 3))};
       },
       "Conv1dSeqRelu");
 }
 
 TEST_F(FusedOpsTest, MatVecOverTimeMatchesUnfusedBitwise) {
   CheckFusedParity(
-      [] {
+      [](bool fused) {
         Tensor x = Rand({6, 18, 40}, 7);
         Tensor v = Rand({40, 1}, 8);
-        return Graph{{x, v}, Sum(MatVecOverTime(x, v))};
+        return Graph{{x, v}, Sum(fused ? MatVecOverTime(x, v)
+                                       : MatVecOverTimeOracle(x, v))};
       },
       "MatVecOverTime");
 }
@@ -152,10 +146,11 @@ TEST_F(FusedOpsTest, MatVecOverTimeMatchesUnfusedBitwise) {
 // pooling branch), which is still bitwise order-safe.
 TEST_F(FusedOpsTest, AttentionChainMatchesUnfusedBitwise) {
   CheckFusedParity(
-      [] {
+      [](bool fused) {
         Tensor x = Rand({6, 18, 40}, 9);
         Tensor v = Rand({40, 1}, 10);
-        Tensor weights = Softmax(MatVecOverTime(x, v));
+        Tensor weights = Softmax(fused ? MatVecOverTime(x, v)
+                                       : MatVecOverTimeOracle(x, v));
         return Graph{{x, v}, Sum(WeightedSumOverTime(x, weights))};
       },
       "MatVecOverTime");
@@ -163,11 +158,12 @@ TEST_F(FusedOpsTest, AttentionChainMatchesUnfusedBitwise) {
 
 TEST_F(FusedOpsTest, SoftmaxCrossEntropyMatchesUnfusedBitwise) {
   CheckFusedParity(
-      [] {
+      [](bool fused) {
         Tensor logits = Rand({30, 4}, 11);
         std::vector<int> labels(30);
         for (int i = 0; i < 30; ++i) labels[i] = i % 4;
-        return Graph{{logits}, CrossEntropyLoss(logits, labels)};
+        return Graph{{logits}, fused ? CrossEntropyLoss(logits, labels)
+                                     : CrossEntropyOracle(logits, labels)};
       },
       "SoftmaxCrossEntropy");
 }
@@ -176,23 +172,25 @@ TEST_F(FusedOpsTest, SoftmaxKlMatchesUnfusedBitwise) {
   for (float tau : {1.0f, 2.0f}) {
     SCOPED_TRACE("tau=" + std::to_string(tau));
     CheckFusedParity(
-        [tau] {
+        [tau](bool fused) {
           Tensor teacher = Rand({30, 4}, 12, /*requires_grad=*/false);
           Tensor student = Rand({30, 4}, 13);
-          return Graph{{student}, DistillKlLoss(teacher, student, tau)};
+          return Graph{{student},
+                       fused ? DistillKlLoss(teacher, student, tau)
+                             : DistillKlOracle(teacher, student, tau)};
         },
         "SoftmaxKl");
   }
 }
 
-// The teacher is a constant in both paths: even when it requires grad, no
-// gradient may flow into it.
+// The teacher is a constant in the fused op and its oracle: even when it
+// requires grad, no gradient may flow into it.
 TEST_F(FusedOpsTest, SoftmaxKlTeacherGetsNoGradient) {
   for (bool fused : {false, true}) {
-    FusionGuard fusion(fused);
     Tensor teacher = Rand({8, 4}, 14, /*requires_grad=*/true);
     Tensor student = Rand({8, 4}, 15);
-    Tensor loss = DistillKlLoss(teacher, student, 2.0f);
+    Tensor loss = fused ? DistillKlLoss(teacher, student, 2.0f)
+                        : DistillKlOracle(teacher, student, 2.0f);
     loss.Backward();
     for (float g : teacher.grad()) {
       EXPECT_EQ(g, 0.0f) << (fused ? "fused" : "unfused");
@@ -206,7 +204,6 @@ TEST_F(FusedOpsTest, SoftmaxKlTeacherGetsNoGradient) {
 // ----- Numeric gradient checks of the fused kernels themselves -----
 
 TEST_F(FusedOpsTest, LinearReluGradcheck) {
-  FusionGuard fusion(true);
   Tensor x = Rand({5, 6}, 20);
   Tensor w = Rand({6, 7}, 21);
   // Bias offset keeps pre-activations away from the ReLU kink, where
@@ -219,7 +216,6 @@ TEST_F(FusedOpsTest, LinearReluGradcheck) {
 }
 
 TEST_F(FusedOpsTest, Conv1dSeqReluGradcheck) {
-  FusionGuard fusion(true);
   Tensor x = Rand({2, 7, 5}, 22);
   Tensor w = Rand({4, 2 * 5}, 23);
   Tensor b = Tensor::Full({4}, 0.4f, /*requires_grad=*/true);
@@ -230,7 +226,6 @@ TEST_F(FusedOpsTest, Conv1dSeqReluGradcheck) {
 }
 
 TEST_F(FusedOpsTest, MatVecOverTimeGradcheck) {
-  FusionGuard fusion(true);
   Tensor x = Rand({3, 5, 6}, 24);
   Tensor v = Rand({6, 1}, 25);
   const auto forward = [&] { return Sum(Square(MatVecOverTime(x, v))); };
@@ -239,7 +234,6 @@ TEST_F(FusedOpsTest, MatVecOverTimeGradcheck) {
 }
 
 TEST_F(FusedOpsTest, SoftmaxCrossEntropyGradcheck) {
-  FusionGuard fusion(true);
   Tensor logits = Rand({6, 4}, 26);
   std::vector<int> labels = {0, 1, 2, 3, 1, 2};
   const auto forward = [&] { return CrossEntropyLoss(logits, labels); };
@@ -247,27 +241,26 @@ TEST_F(FusedOpsTest, SoftmaxCrossEntropyGradcheck) {
 }
 
 TEST_F(FusedOpsTest, SoftmaxKlGradcheck) {
-  FusionGuard fusion(true);
   Tensor teacher = Rand({6, 4}, 27, /*requires_grad=*/false);
   Tensor student = Rand({6, 4}, 28);
   const auto forward = [&] { return DistillKlLoss(teacher, student, 2.0f); };
   ::dtdbd::testing::ExpectGradMatchesNumeric(student, forward);
 }
 
-// Fusion reduces the node count of a linear+loss step without changing the
-// loss; the graph counters (MakeOp/MakeView instrumentation) see it.
+// Fusion reduces the node count of a linear+loss step below its oracle
+// graph's; the graph counters (MakeOp/MakeView instrumentation) see it.
 TEST_F(FusedOpsTest, FusionShrinksRecordedGraph) {
   const auto count_nodes = [](bool fused) {
-    FusionGuard fusion(fused);
     SetOpProfiling(true);
     ResetOpStats();
     Tensor x = Rand({16, 24}, 30);
     Tensor w = Rand({24, 12}, 31);
     Tensor b = Rand({12}, 32);
-    Tensor h = LinearRelu(x, w, b);
+    Tensor h = fused ? LinearRelu(x, w, b) : LinearReluOracle(x, w, b);
     Tensor logits = AddBias(MatMul(h, Rand({12, 2}, 33)), Rand({2}, 34));
     std::vector<int> labels(16, 1);
-    Tensor loss = CrossEntropyLoss(logits, labels);
+    Tensor loss = fused ? CrossEntropyLoss(logits, labels)
+                        : CrossEntropyOracle(logits, labels);
     loss.Backward();
     const OpStats total = TotalOpStats();
     SetOpProfiling(false);

@@ -1,6 +1,7 @@
 // Property-style finite-difference gradient checks over the op library,
 // parameterized so every differentiable op gets the same treatment.
 #include <functional>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,10 @@ struct GradCase {
   // Keep inputs positive (for Log).
   bool positive_input = false;
 };
+
+// Without this, gtest prints the case as raw bytes, which include heap
+// addresses, so the registered test names would change from run to run.
+void PrintTo(const GradCase& c, std::ostream* os) { *os << c.name; }
 
 // A fixed "other operand" so binary ops are exercised with non-trivial
 // partners.

@@ -635,11 +635,6 @@ TEST_F(NetTest, HealthFramesRoundTripCacheCountersOverTheWire) {
   EXPECT_EQ(health.models[0].hits, 1);
   EXPECT_EQ(health.models[0].inserted, 1);
   EXPECT_EQ(health.models[0].entries, 1);
-  // Int8 serving defaults OFF: the wire mirrors the in-process report.
-  EXPECT_EQ(health.int8_active, direct.int8_active);
-  EXPECT_FALSE(health.int8_active);
-  EXPECT_FALSE(health.models[0].int8_active);
-  EXPECT_EQ(health.models[0].quantized_bytes, 0);
 
   // A v1-pinned client cannot even encode the frame: rejected locally.
   Client old_client = ConnectedClient(net);
