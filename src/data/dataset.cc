@@ -128,13 +128,16 @@ int64_t DataLoader::num_batches() const {
   return (dataset_->size() + batch_size_ - 1) / batch_size_;
 }
 
-Batch DataLoader::GetBatch(int64_t index) const {
+std::vector<int64_t> DataLoader::BatchIndices(int64_t index) const {
   DTDBD_CHECK_GE(index, 0);
   DTDBD_CHECK_LT(index, num_batches());
   const int64_t begin = index * batch_size_;
   const int64_t end = std::min(begin + batch_size_, dataset_->size());
-  std::vector<int64_t> indices(order_.begin() + begin, order_.begin() + end);
-  return MakeBatch(*dataset_, indices);
+  return std::vector<int64_t>(order_.begin() + begin, order_.begin() + end);
+}
+
+Batch DataLoader::GetBatch(int64_t index) const {
+  return MakeBatch(*dataset_, BatchIndices(index));
 }
 
 }  // namespace dtdbd::data

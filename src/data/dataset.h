@@ -95,6 +95,9 @@ class DataLoader {
   Status SetState(const State& state);
 
   int64_t num_batches() const;
+  // Dataset indices of batch `index` in this epoch's order.
+  std::vector<int64_t> BatchIndices(int64_t index) const;
+  // MakeBatch(dataset, BatchIndices(index)).
   Batch GetBatch(int64_t index) const;
 
  private:

@@ -33,6 +33,21 @@ DtdbdResult TrainDtdbd(models::FakeNewsModel* student,
   if (unbiased_teacher != nullptr) unbiased_teacher->Freeze();
   if (clean_teacher != nullptr) clean_teacher->Freeze();
 
+  // Teach once. A frozen teacher in eval mode (dropout draws no RNG) maps
+  // each item to the same output whatever its epoch or batch-mates, so each
+  // teacher runs once over `train` in index order and every step gathers
+  // its rows. The tables are derived state: never checkpointed, rebuilt by
+  // a resumed call and reused across a guard rollback.
+  std::vector<float> teacher_feature_table, teacher_logit_table;
+  if (options.use_add) {
+    teacher_feature_table =
+        ExtractFeatures(unbiased_teacher, train, options.batch_size);
+  }
+  if (options.use_dkd) {
+    teacher_logit_table =
+        ExtractLogits(clean_teacher, train, options.batch_size);
+  }
+
   std::vector<Tensor> params;
   for (auto& p : student->Parameters()) {
     if (p.requires_grad()) params.push_back(p);
@@ -118,27 +133,15 @@ DtdbdResult TrainDtdbd(models::FakeNewsModel* student,
                              std::to_string(global_step));
         return result;
       }
-      const data::Batch batch = loader.GetBatch(b);
-
-      // Teachers run without autograd: they are frozen knowledge sources.
-      Tensor teacher_features, teacher_logits;
-      {
-        tensor::NoGradGuard no_grad;
-        if (options.use_add) {
-          teacher_features =
-              unbiased_teacher->Forward(batch, /*training=*/false).features;
-        }
-        if (options.use_dkd) {
-          teacher_logits =
-              clean_teacher->Forward(batch, /*training=*/false).logits;
-        }
-      }
-
+      const std::vector<int64_t> indices = loader.BatchIndices(b);
+      const data::Batch batch = data::MakeBatch(train, indices);
       models::ModelOutput out = student->Forward(batch, /*training=*/true);
       Tensor l_ce = tensor::CrossEntropyLoss(out.logits, batch.labels);
       Tensor loss = tensor::ScalarMul(l_ce, options.w_student_ce);
       double batch_add = 0.0, batch_dkd = 0.0;
       if (options.use_add) {
+        const Tensor teacher_features = GatherRows(
+            teacher_feature_table, unbiased_teacher->feature_dim(), indices);
         Tensor l_add = tensor::ScalarMul(
             AdversarialDebiasDistillLoss(teacher_features, out.features,
                                          options.tau),
@@ -148,6 +151,8 @@ DtdbdResult TrainDtdbd(models::FakeNewsModel* student,
                            tensor::ScalarMul(l_add, static_cast<float>(w_add)));
       }
       if (options.use_dkd) {
+        const Tensor teacher_logits =
+            GatherRows(teacher_logit_table, /*width=*/2, indices);
         Tensor l_dkd = DomainKnowledgeDistillLoss(teacher_logits, out.logits,
                                                   options.tau);
         batch_dkd = l_dkd.item();

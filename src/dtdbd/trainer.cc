@@ -26,6 +26,41 @@ std::vector<Tensor> TrainableParams(models::FakeNewsModel* model) {
   return params;
 }
 
+// Runs `model` in eval mode without autograd over `dataset` in index order,
+// handing each batch and its output to `sink`. Callers have already
+// rejected a null model, an empty dataset and a non-positive batch_size.
+template <typename Sink>
+void ForEachEvalBatch(models::FakeNewsModel* model,
+                      const data::NewsDataset& dataset, int64_t batch_size,
+                      Sink sink) {
+  tensor::NoGradGuard no_grad;
+  data::DataLoader loader(&dataset, batch_size, /*shuffle=*/false, 0);
+  for (int64_t b = 0; b < loader.num_batches(); ++b) {
+    const data::Batch batch = loader.GetBatch(b);
+    sink(batch, model->Forward(batch, /*training=*/false));
+  }
+}
+
+// One output field of `model` over `dataset`, row-major [N, width].
+std::vector<float> StackOutputRows(models::FakeNewsModel* model,
+                                   const data::NewsDataset& dataset,
+                                   int64_t batch_size,
+                                   Tensor models::ModelOutput::*field,
+                                   int64_t width) {
+  DTDBD_CHECK(model != nullptr);
+  if (dataset.size() == 0 || batch_size <= 0) return {};
+  std::vector<float> rows;
+  rows.reserve(dataset.size() * width);
+  ForEachEvalBatch(model, dataset, batch_size,
+                   [&](const data::Batch&, const models::ModelOutput& out) {
+                     const Tensor& t = out.*field;
+                     DTDBD_CHECK_EQ(t.dim(1), width);
+                     rows.insert(rows.end(), t.data().begin(),
+                                 t.data().end());
+                   });
+  return rows;
+}
+
 }  // namespace
 
 TrainResult TrainSupervised(models::FakeNewsModel* model,
@@ -200,18 +235,16 @@ std::vector<float> PredictFakeProbability(models::FakeNewsModel* model,
                                           int64_t batch_size) {
   DTDBD_CHECK(model != nullptr);
   if (dataset.size() == 0 || batch_size <= 0) return {};
-  tensor::NoGradGuard no_grad;
-  data::DataLoader loader(&dataset, batch_size, /*shuffle=*/false, 0);
   std::vector<float> probs;
   probs.reserve(dataset.size());
-  for (int64_t b = 0; b < loader.num_batches(); ++b) {
-    const data::Batch batch = loader.GetBatch(b);
-    models::ModelOutput out = model->Forward(batch, /*training=*/false);
-    Tensor p = tensor::Softmax(out.logits);
-    for (int64_t i = 0; i < batch.batch_size; ++i) {
-      probs.push_back(p.at(i * 2 + data::kFake));
-    }
-  }
+  ForEachEvalBatch(model, dataset, batch_size,
+                   [&](const data::Batch& batch,
+                       const models::ModelOutput& out) {
+                     Tensor p = tensor::Softmax(out.logits);
+                     for (int64_t i = 0; i < batch.batch_size; ++i) {
+                       probs.push_back(p.at(i * 2 + data::kFake));
+                     }
+                   });
   return probs;
 }
 
@@ -219,19 +252,33 @@ std::vector<float> ExtractFeatures(models::FakeNewsModel* model,
                                    const data::NewsDataset& dataset,
                                    int64_t batch_size) {
   DTDBD_CHECK(model != nullptr);
-  if (dataset.size() == 0 || batch_size <= 0) return {};
-  tensor::NoGradGuard no_grad;
-  data::DataLoader loader(&dataset, batch_size, /*shuffle=*/false, 0);
-  std::vector<float> features;
-  features.reserve(dataset.size() * model->feature_dim());
-  for (int64_t b = 0; b < loader.num_batches(); ++b) {
-    const data::Batch batch = loader.GetBatch(b);
-    models::ModelOutput out = model->Forward(batch, /*training=*/false);
-    DTDBD_CHECK_EQ(out.features.dim(1), model->feature_dim());
-    const auto& data = out.features.data();
-    features.insert(features.end(), data.begin(), data.end());
+  return StackOutputRows(model, dataset, batch_size,
+                         &models::ModelOutput::features,
+                         model->feature_dim());
+}
+
+std::vector<float> ExtractLogits(models::FakeNewsModel* model,
+                                 const data::NewsDataset& dataset,
+                                 int64_t batch_size) {
+  return StackOutputRows(model, dataset, batch_size,
+                         &models::ModelOutput::logits, /*width=*/2);
+}
+
+Tensor GatherRows(const std::vector<float>& table, int64_t width,
+                  const std::vector<int64_t>& indices) {
+  DTDBD_CHECK_GT(width, 0);
+  DTDBD_CHECK_EQ(static_cast<int64_t>(table.size()) % width, 0);
+  const int64_t n = static_cast<int64_t>(table.size()) / width;
+  std::vector<float> rows;
+  rows.reserve(indices.size() * width);
+  for (int64_t idx : indices) {
+    DTDBD_CHECK_GE(idx, 0);
+    DTDBD_CHECK_LT(idx, n);
+    rows.insert(rows.end(), table.begin() + idx * width,
+                table.begin() + (idx + 1) * width);
   }
-  return features;
+  return Tensor::FromData({static_cast<int64_t>(indices.size()), width},
+                          std::move(rows));
 }
 
 }  // namespace dtdbd

@@ -88,12 +88,24 @@ std::vector<float> PredictFakeProbability(models::FakeNewsModel* model,
                                           const data::NewsDataset& dataset,
                                           int64_t batch_size = 64);
 
-// Intermediate features for each sample, row-major [N, feature_dim];
-// used by the t-SNE visualization (Fig. 2) and analysis tools. An empty
-// dataset or non-positive batch_size yields an empty result.
+// Intermediate features for each sample, row-major [N, feature_dim], eval
+// mode; used by the t-SNE visualization (Fig. 2), analysis tools, and
+// DTDBD's unbiased-teacher table. An empty dataset or non-positive
+// batch_size yields an empty result.
 std::vector<float> ExtractFeatures(models::FakeNewsModel* model,
                                    const data::NewsDataset& dataset,
                                    int64_t batch_size = 64);
+
+// Class logits for each sample, row-major [N, 2], eval mode; DTDBD's
+// clean-teacher table. Empty under the same conditions as ExtractFeatures.
+std::vector<float> ExtractLogits(models::FakeNewsModel* model,
+                                 const data::NewsDataset& dataset,
+                                 int64_t batch_size = 64);
+
+// Rows `indices` of a row-major [N, width] table such as ExtractFeatures
+// returns, in the given order, as a [indices.size(), width] tensor.
+tensor::Tensor GatherRows(const std::vector<float>& table, int64_t width,
+                          const std::vector<int64_t>& indices);
 
 }  // namespace dtdbd
 

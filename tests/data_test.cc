@@ -171,6 +171,25 @@ TEST(DataLoaderTest, ShuffleChangesOrderDeterministically) {
   EXPECT_NE(a.GetBatch(0).tokens, c.GetBatch(0).tokens);
 }
 
+TEST(DataLoaderTest, GetBatchIsMakeBatchOfBatchIndices) {
+  NewsDataset ds = GenerateCorpus(MicroConfig(11));
+  DataLoader loader(&ds, 13, /*shuffle=*/true, 4);
+  loader.NewEpoch();
+  for (int64_t b = 0; b < loader.num_batches(); ++b) {
+    const Batch got = loader.GetBatch(b);
+    const Batch want = MakeBatch(ds, loader.BatchIndices(b));
+    EXPECT_EQ(got.batch_size, want.batch_size);
+    EXPECT_EQ(got.seq_len, want.seq_len);
+    EXPECT_EQ(got.tokens, want.tokens);
+    EXPECT_EQ(got.labels, want.labels);
+    EXPECT_EQ(got.domains, want.domains);
+    EXPECT_EQ(got.style.shape(), want.style.shape());
+    EXPECT_EQ(got.style.data(), want.style.data());
+    EXPECT_EQ(got.emotion.shape(), want.emotion.shape());
+    EXPECT_EQ(got.emotion.data(), want.emotion.data());
+  }
+}
+
 TEST(DataLoaderTest, NoShuffleIsIdentityOrder) {
   NewsDataset ds = GenerateCorpus(MicroConfig(10));
   DataLoader loader(&ds, 7, false, 0);

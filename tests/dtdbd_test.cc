@@ -1,8 +1,11 @@
 #include "dtdbd/dtdbd.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
+
+#include "common/thread_pool.h"
 
 #include "tensor/ops.h"
 
@@ -237,6 +240,61 @@ TEST_F(DtdbdEndToEndTest, FullPipelineRunsAndKeepsTeachersFrozen) {
   for (const auto& [k, v] : clean->NamedParameters()) {
     EXPECT_EQ(v.data(), snapshot.at(k)) << k;
     EXPECT_FALSE(v.requires_grad());
+  }
+}
+
+// TrainDtdbd computes each teacher's outputs once, over train in index
+// order at the distillation batch size, and gathers rows per step. That is
+// exact only if every row of a frozen teacher's eval forward is independent
+// of the batch it sits in; check it for each teacher the trainer accepts,
+// on shuffled batches of another size, at 1 and 4 kernel threads.
+TEST_F(DtdbdEndToEndTest, TeacherTableRowsMatchForwardBitwise) {
+  TrainOptions topts;
+  topts.epochs = 1;
+  DatIeOptions dat;
+  dat.train.epochs = 1;
+  std::vector<std::unique_ptr<models::FakeNewsModel>> teachers;
+  teachers.push_back(
+      TrainUnbiasedTeacher("TextCNN-S", config_, splits_.train, nullptr, dat));
+  for (const char* clean : {"MDFEND", "M3FEND"}) {
+    teachers.push_back(models::CreateModel(clean, config_));
+    TrainSupervised(teachers.back().get(), splits_.train, nullptr, topts);
+  }
+  const int64_t table_batch = DtdbdOptions().batch_size;
+  auto expect_bitwise = [](const Tensor& gathered, const Tensor& forward,
+                           const std::string& what) {
+    ASSERT_EQ(gathered.shape(), forward.shape()) << what;
+    EXPECT_EQ(std::memcmp(gathered.data().data(), forward.data().data(),
+                          gathered.numel() * sizeof(float)),
+              0)
+        << what;
+  };
+  for (int threads : {1, 4}) {
+    KernelPool pool(threads);
+    ScopedKernelPool scope(&pool);
+    for (const auto& teacher : teachers) {
+      teacher->Freeze();
+      const std::vector<float> features =
+          ExtractFeatures(teacher.get(), splits_.train, table_batch);
+      const std::vector<float> logits =
+          ExtractLogits(teacher.get(), splits_.train, table_batch);
+      data::DataLoader loader(&splits_.train, 24, /*shuffle=*/true, 3);
+      loader.NewEpoch();
+      for (int64_t b = 0; b < loader.num_batches(); ++b) {
+        const std::vector<int64_t> indices = loader.BatchIndices(b);
+        tensor::NoGradGuard no_grad;
+        const models::ModelOutput out = teacher->Forward(
+            data::MakeBatch(splits_.train, indices), /*training=*/false);
+        const std::string what = teacher->name() + " threads=" +
+                                 std::to_string(threads) +
+                                 " batch=" + std::to_string(b);
+        expect_bitwise(
+            GatherRows(features, teacher->feature_dim(), indices),
+            out.features, what + " features");
+        expect_bitwise(GatherRows(logits, 2, indices), out.logits,
+                       what + " logits");
+      }
+    }
   }
 }
 

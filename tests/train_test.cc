@@ -201,6 +201,43 @@ TEST_F(TrainRobustnessTest, DtdbdResumeIsBitwiseIdentical) {
                            resumed->NamedParameters());
 }
 
+// FNV-1a (64-bit) over every parameter's float bit patterns, byte-wise, in
+// NamedParameters() order.
+uint64_t ParamBitsHash(const std::map<std::string, Tensor>& params) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const auto& [name, t] : params) {
+    for (float v : t.data()) {
+      uint32_t bits;
+      std::memcpy(&bits, &v, sizeof(bits));
+      for (int i = 0; i < 4; ++i) {
+        h ^= (bits >> (8 * i)) & 0xffu;
+        h *= 1099511628211ULL;
+      }
+    }
+  }
+  return h;
+}
+
+// Golden student: any change to the distillation loop that moves a single
+// bit of the trained student changes this hash. Recorded before the
+// teachers' outputs moved into a once-per-call row table; the table must
+// reproduce the per-step teacher forwards exactly. It must also hold with
+// DTDBD_NO_SIMD=1, since every SIMD kernel is bitwise equal to its scalar
+// path.
+TEST_F(TrainRobustnessTest, DtdbdGoldenStudentHash) {
+  std::unique_ptr<models::FakeNewsModel> unbiased, clean;
+  MakeTeachers(&unbiased, &clean);
+  auto student = models::CreateModel("TextCNN-S", config_);
+  DtdbdOptions opts;
+  opts.epochs = 2;
+  opts.batch_size = 32;
+  opts.seed = 7;
+  DtdbdResult result = TrainDtdbd(student.get(), unbiased.get(), clean.get(),
+                                  splits_.train, splits_.val, opts);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(ParamBitsHash(student->NamedParameters()), 0x6c7ca2b164961426ULL);
+}
+
 TEST_F(TrainRobustnessTest, MidEpochCrashResumesFromLastCheckpoint) {
   const std::string ckpt = TmpPath("crash.ckpt");
   TrainOptions base;
