@@ -42,14 +42,15 @@
 //        --drift-requests=N per drift-sweep point (default --requests),
 //        --clients=N socket clients (default 8), --deadline-ms (default
 //        200), --queue-depth (default 256), --threads=N,
-//        --serve-workers / --max-batch (strict-parsed; default 4 workers'
-//        rule: env fallback / batch 4), --cache-bytes (strict-parsed,
-//        falls back to DTDBD_CACHE_BYTES, then 0 = off; applies to phases
-//        1-3 and sets the "on" budget of the cache sweep, which otherwise
-//        uses 4 MiB), --model=MDFEND,
-//        --json=BENCH_serving.json, and the strict-parsed socket knobs
-//        --port (0 = ephemeral), --max-conns (64), --idle-timeout-ms
-//        (5000) — present-but-invalid values warn and pin the default.
+//        --serve-workers (falls back to DTDBD_SERVE_WORKERS, then 1),
+//        --max-batch (default 4), --cache-bytes (falls back to
+//        DTDBD_CACHE_BYTES, then 0 = off; applies to phases 1-3 and sets
+//        the "on" budget of the cache sweep, which otherwise uses 4 MiB),
+//        --feedback-ring (1024) / --drift-window (256) for the drift
+//        sweep, --model=MDFEND, --json=BENCH_serving.json, and the socket
+//        knobs --port (0 = ephemeral), --max-conns (64), --idle-timeout-ms
+//        (5000). Every integer knob is strict-parsed through its Knob row:
+//        a present-but-invalid value warns and pins the row's fallback.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -675,21 +676,21 @@ int main(int argc, char** argv) {
   const int64_t queue_depth = flags.GetInt("queue-depth", 256);
   const std::string model_name = flags.GetString("model", "MDFEND");
   const std::string json_path = flags.GetString("json", "BENCH_serving.json");
-  const int serve_workers = serve::ResolveServeWorkers(flags);
+  // Serving and socket knobs resolve through their Knob rows (strict parse;
+  // a present-but-invalid flag warns and pins the row's fallback). Only
+  // --max-batch has a bench-specific default when absent.
+  const auto knob = [&flags](const Knob& row) {
+    return static_cast<int>(ResolveKnob(row, &flags));
+  };
+  const int serve_workers = knob(serve::kServeWorkersKnob);
   const int max_batch =
-      flags.Has("max-batch") ? serve::ResolveMaxBatch(flags) : 4;
-  const int64_t cache_bytes = serve::ResolveCacheBytes(flags);
-  // Drift-sweep quality knobs, strict-parsed like every other serving flag
-  // (--feedback-ring / --drift-window, env twins DTDBD_FEEDBACK_RING /
-  // DTDBD_DRIFT_WINDOW).
-  const int feedback_ring = serve::ResolveFeedbackRing(flags);
-  const int drift_window = serve::ResolveDriftWindow(flags);
-  // Socket knobs share the strict-parse rule: a typo'd --port must not bind
-  // a random port silently — warn and pin the default instead.
-  const int port_flag = ResolvePositiveIntFlag(flags, "port", 0, 0);
-  const int max_conns = ResolvePositiveIntFlag(flags, "max-conns", 64, 64);
-  const int idle_timeout_ms =
-      ResolvePositiveIntFlag(flags, "idle-timeout-ms", 5000, 5000);
+      flags.Has("max-batch") ? knob(serve::kMaxBatchKnob) : 4;
+  const int64_t cache_bytes = ResolveKnob(serve::kCacheBytesKnob, &flags);
+  const int feedback_ring = knob(serve::kFeedbackRingKnob);
+  const int drift_window = knob(serve::kDriftWindowKnob);
+  const int port_flag = knob(net::kPortKnob);
+  const int max_conns = knob(net::kMaxConnsKnob);
+  const int idle_timeout_ms = knob(net::kIdleTimeoutMsKnob);
 
   data::NewsDataset dataset = data::GenerateCorpus(data::MicroConfig(29));
   text::FrozenEncoder encoder(dataset.vocab->size(), 32, 14);

@@ -126,21 +126,21 @@ int main(int argc, char** argv) {
   // 1. Fleet of two behind one queue/worker pool, with the prediction
   //    cache on (--cache-bytes, falling back to DTDBD_CACHE_BYTES; the
   //    tour defaults it to 1 MiB per model so step 5 has counters to show).
+  const auto model_factory = [config] {
+    return models::CreateModel("MDFEND", config);
+  };
   serve::ServerOptions options;
   options.max_batch = 4;
   options.cache_bytes = flags.Has("cache-bytes")
-                            ? serve::ResolveCacheBytes(flags)
+                            ? ResolveKnob(serve::kCacheBytesKnob, &flags)
                             : (1 << 20);
-  // Quality-monitor knobs (DESIGN.md §13), strict-parsed with env twins
-  // DTDBD_FEEDBACK_RING / DTDBD_DRIFT_WINDOW.
-  options.feedback_ring = serve::ResolveFeedbackRing(flags);
-  options.drift_window = serve::ResolveDriftWindow(flags);
-  options.model_factory = [config] {
-    return models::CreateModel("MDFEND", config);
-  };
+  // Quality-monitor knobs (DESIGN.md §13), strict-parsed via their rows.
+  options.feedback_ring = ResolveKnob(serve::kFeedbackRingKnob, &flags);
+  options.drift_window = ResolveKnob(serve::kDriftWindowKnob, &flags);
+  options.model_factory = model_factory;
   serve::Server server(make_session(5), std::move(options));
-  Status added = server.AddModel("experimental", make_session(9),
-                                 options.model_factory);
+  Status added =
+      server.AddModel("experimental", make_session(9), model_factory);
   if (!added.ok()) {
     std::fprintf(stderr, "%s\n", added.ToString().c_str());
     return 1;
@@ -201,11 +201,11 @@ int main(int argc, char** argv) {
   serve::CanaryOptions canary;
   canary.percent = percent;
   canary.window = 32;
-  // --quality-slack (DTDBD_QUALITY_SLACK) feeds the canary AUC gate; the
-  // gate itself only arms once quality_window > 0 AND labeled feedback
-  // flows for the canary slice (step 6 feeds the primary only).
+  // --quality-slack feeds the canary AUC gate; the gate itself only arms
+  // once quality_window > 0 AND labeled feedback flows for the canary slice
+  // (step 6 feeds the primary only).
   canary.max_auc_regression =
-      serve::ResolveQualitySlackPercent(flags) / 100.0;
+      ResolveKnob(serve::kQualitySlackKnob, &flags) / 100.0;
   if (Status s = server.StartCanary("", canary_ckpt, canary).get(); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;

@@ -88,15 +88,27 @@ bool ParseNonNegativeInt64(const char* text, int64_t* out) {
   return true;
 }
 
-int ResolvePositiveIntFlag(const FlagParser& flags, const char* name,
-                           int absent_value, int invalid_value) {
-  if (!flags.Has(name)) return absent_value;
-  const std::string value = flags.GetString(name, "");
-  int n = 0;
-  if (ParsePositiveInt(value.c_str(), &n)) return n;
-  DTDBD_LOG(Warning) << "--" << name << " '" << value
-                     << "' is not a positive integer; using " << invalid_value;
-  return invalid_value;
+int64_t ResolveKnob(const Knob& knob, const FlagParser* flags) {
+  std::string source;
+  std::string text;
+  if (flags != nullptr && flags->Has(knob.flag)) {
+    source = std::string("--") + knob.flag;
+    text = flags->GetString(knob.flag, "");
+  } else if (const char* env = knob.env ? std::getenv(knob.env) : nullptr) {
+    source = knob.env;
+    text = env;
+  } else {
+    return knob.fallback;
+  }
+  int64_t n = 0;
+  if (ParseNonNegativeInt64(text.c_str(), &n) && n >= knob.min &&
+      n <= knob.max) {
+    return n;
+  }
+  DTDBD_LOG(Warning) << source << " '" << text << "' is not an integer in ["
+                     << knob.min << ", " << knob.max << "]; using "
+                     << knob.fallback;
+  return knob.fallback;
 }
 
 }  // namespace dtdbd

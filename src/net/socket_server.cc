@@ -74,6 +74,11 @@ Status SocketServer::Start() {
     DTDBD_CHECK(!started_) << "SocketServer::Start called twice";
     started_ = true;
   }
+  // htons would silently truncate: 70000 binds 4464 and -1 binds 65535.
+  if (options_.port < 0 || options_.port > 65535) {
+    return Status::InvalidArgument("port " + std::to_string(options_.port) +
+                                   " is outside [0, 65535]");
+  }
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                         0);

@@ -41,6 +41,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/status.h"
 #include "models/model.h"
 #include "serve/cache.h"
@@ -65,6 +66,12 @@ uint64_t RouteHash(const InferenceRequest& request);
 // True when `hash` falls in the canary slice of `percent` (clamped to
 // [0, 100]; 0 = nothing, 100 = everything).
 bool InCanarySlice(uint64_t hash, int percent);
+
+// --quality-slack: the canary AUC slack in integer percentage points
+// (5 -> 0.05), so the strict integer rule applies; 0 would mean "any dip
+// regresses" and is rejected like every other invalid value.
+inline constexpr Knob kQualitySlackKnob{"quality-slack", nullptr, 1,
+                                        kIntKnobMax, 5};
 
 struct CanaryOptions {
   // Hash-slice size in percent of traffic routed to the candidate.
@@ -94,7 +101,7 @@ struct CanaryOptions {
   // more than this absolute slack — pooled, or within any single domain
   // that clears the min-samples guards. A canary may not buy its pooled
   // AUC by abandoning one domain.
-  double max_auc_regression = 0.05;
+  double max_auc_regression = kQualitySlackKnob.fallback / 100.0;
   // Both variants must have at least this many observations in their
   // windows (and a VALID pooled AUC — single-class windows never fire)
   // before the pooled-quality check can judge anything.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <iterator>
 #include <map>
 #include <utility>
@@ -27,91 +26,6 @@ const SystemClock* SystemClock::Get() {
   return &clock;
 }
 
-int ServeWorkersFromEnv() {
-  const char* env = std::getenv("DTDBD_SERVE_WORKERS");
-  if (env == nullptr) return 1;
-  int n = 0;
-  if (ParsePositiveInt(env, &n)) return n;
-  DTDBD_LOG(Warning) << "DTDBD_SERVE_WORKERS='" << env
-                     << "' is not a positive integer; using 1 worker";
-  return 1;
-}
-
-int ResolveServeWorkers(const FlagParser& flags) {
-  return ResolvePositiveIntFlag(flags, "serve-workers", ServeWorkersFromEnv(),
-                                /*invalid_value=*/1);
-}
-
-int ResolveMaxBatch(const FlagParser& flags) {
-  return ResolvePositiveIntFlag(flags, "max-batch", /*absent_value=*/1,
-                                /*invalid_value=*/1);
-}
-
-int64_t CacheBytesFromEnv() {
-  const char* env = std::getenv("DTDBD_CACHE_BYTES");
-  if (env == nullptr) return 0;
-  int64_t n = 0;
-  if (ParseNonNegativeInt64(env, &n)) return n;
-  DTDBD_LOG(Warning) << "DTDBD_CACHE_BYTES='" << env
-                     << "' is not a non-negative integer; caching stays off";
-  return 0;
-}
-
-int64_t ResolveCacheBytes(const FlagParser& flags) {
-  if (!flags.Has("cache-bytes")) return CacheBytesFromEnv();
-  const std::string value = flags.GetString("cache-bytes", "");
-  int64_t n = 0;
-  if (ParseNonNegativeInt64(value.c_str(), &n)) return n;
-  DTDBD_LOG(Warning) << "--cache-bytes '" << value
-                     << "' is not a non-negative integer; caching stays off";
-  return 0;
-}
-
-namespace {
-
-// Shared strict-env rule for the quality knobs: unset -> the documented
-// default, present-but-invalid -> warning + the same default (never a
-// silently reinterpreted prefix).
-int PositiveIntFromEnv(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return fallback;
-  int n = 0;
-  if (ParsePositiveInt(env, &n)) return n;
-  DTDBD_LOG(Warning) << name << "='" << env
-                     << "' is not a positive integer; using " << fallback;
-  return fallback;
-}
-
-}  // namespace
-
-int FeedbackRingFromEnv() {
-  return PositiveIntFromEnv("DTDBD_FEEDBACK_RING", 1024);
-}
-
-int ResolveFeedbackRing(const FlagParser& flags) {
-  return ResolvePositiveIntFlag(flags, "feedback-ring", FeedbackRingFromEnv(),
-                                /*invalid_value=*/1024);
-}
-
-int DriftWindowFromEnv() {
-  return PositiveIntFromEnv("DTDBD_DRIFT_WINDOW", 256);
-}
-
-int ResolveDriftWindow(const FlagParser& flags) {
-  return ResolvePositiveIntFlag(flags, "drift-window", DriftWindowFromEnv(),
-                                /*invalid_value=*/256);
-}
-
-int QualitySlackPercentFromEnv() {
-  return PositiveIntFromEnv("DTDBD_QUALITY_SLACK", 5);
-}
-
-int ResolveQualitySlackPercent(const FlagParser& flags) {
-  return ResolvePositiveIntFlag(flags, "quality-slack",
-                                QualitySlackPercentFromEnv(),
-                                /*invalid_value=*/5);
-}
-
 Server::Server(std::unique_ptr<InferenceSession> session,
                ServerOptions options)
     : options_(std::move(options)),
@@ -121,15 +35,16 @@ Server::Server(std::unique_ptr<InferenceSession> session,
   DTDBD_CHECK(session != nullptr);
   DTDBD_CHECK_GT(options_.max_queue_depth, 0);
   DTDBD_CHECK_GT(options_.latency_window, 0);
+  DTDBD_CHECK_GT(options_.feedback_ring, 0);
+  DTDBD_CHECK_GT(options_.drift_window, 0);
   num_workers_ =
-      options_.num_workers > 0 ? options_.num_workers : ServeWorkersFromEnv();
+      options_.num_workers > 0
+          ? options_.num_workers
+          : static_cast<int>(ResolveKnob(kServeWorkersKnob, nullptr));
   max_batch_ = std::max(1, options_.max_batch);
-  cache_bytes_ =
-      options_.cache_bytes >= 0 ? options_.cache_bytes : CacheBytesFromEnv();
-  feedback_ring_ =
-      options_.feedback_ring > 0 ? options_.feedback_ring : FeedbackRingFromEnv();
-  drift_window_ =
-      options_.drift_window > 0 ? options_.drift_window : DriftWindowFromEnv();
+  cache_bytes_ = options_.cache_bytes >= 0
+                     ? options_.cache_bytes
+                     : ResolveKnob(kCacheBytesKnob, nullptr);
   latencies_.assign(static_cast<size_t>(options_.latency_window), 0);
   batch_size_hist_.assign(static_cast<size_t>(max_batch_) + 1, 0);
   {
@@ -167,8 +82,8 @@ void Server::InitModelStatsLocked(ModelState* model) {
   // be served (let alone record a latency) against an unsized ring.
   std::lock_guard<std::mutex> lock(stats_mu_);
   model->latencies.assign(static_cast<size_t>(options_.latency_window), 0);
-  model->primary_quality = QualityMonitor(feedback_ring_);
-  model->canary_quality = QualityMonitor(feedback_ring_);
+  model->primary_quality = QualityMonitor(options_.feedback_ring);
+  model->canary_quality = QualityMonitor(options_.feedback_ring);
 }
 
 Status Server::AddModel(
@@ -422,7 +337,7 @@ Status Server::RecordFeedback(const Feedback& feedback) {
         window.canary_quality = model->canary_quality.Snapshot(
             /*window=*/0, canary_options.min_domain_quality_samples);
         window.primary_quality = model->primary_quality.Snapshot(
-            drift_window_, canary_options.min_domain_quality_samples);
+            options_.drift_window, canary_options.min_domain_quality_samples);
         const CanaryVerdict verdict =
             EvaluateCanaryWindow(window, canary_options);
         if (verdict.regression) {
@@ -437,7 +352,7 @@ Status Server::RecordFeedback(const Feedback& feedback) {
       if (options_.primary_min_auc > 0.0) {
         const QualityWindowSnapshot snapshot =
             model->primary_quality.Snapshot(
-                drift_window_, options_.min_domain_quality_samples);
+                options_.drift_window, options_.min_domain_quality_samples);
         // The flag moves only on evidence: a defined AUC over enough
         // samples. Degenerate windows leave it where it was, so the flag's
         // trajectory is a deterministic function of the feedback stream.
@@ -1424,7 +1339,7 @@ HealthReport Server::Health() const {
       health.quality.quality_evals = m->quality_evals;
       health.quality.quality_rollbacks = m->quality_rollbacks;
       const QualityWindowSnapshot snapshot = m->primary_quality.Snapshot(
-          drift_window_, options_.min_domain_quality_samples);
+          options_.drift_window, options_.min_domain_quality_samples);
       health.quality.window_samples = snapshot.samples;
       health.quality.auc = snapshot.auc;
       health.quality.auc_valid = snapshot.auc_valid;

@@ -104,6 +104,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "models/model.h"
@@ -111,10 +112,6 @@
 #include "serve/fleet.h"
 #include "serve/session.h"
 #include "train/fault_injector.h"
-
-namespace dtdbd {
-class FlagParser;
-}  // namespace dtdbd
 
 namespace dtdbd::serve {
 
@@ -146,13 +143,29 @@ class ManualClock : public Clock {
   std::atomic<int64_t> now_{0};
 };
 
+// Knob rows (common/flags.h) for the ServerOptions fields a binary exposes
+// as flags. kServeWorkersKnob and kCacheBytesKnob also resolve the
+// num_workers = 0 and cache_bytes = -1 sentinels from their env twins, which
+// is how the CI serving matrix flips every test's server. Cache 0 is a VALID
+// value ("cache off"), so its row starts at 0: a typo'd budget disables the
+// cache rather than conjuring one of surprise size.
+inline constexpr Knob kServeWorkersKnob{"serve-workers", "DTDBD_SERVE_WORKERS",
+                                        1, kIntKnobMax, 1};
+inline constexpr Knob kMaxBatchKnob{"max-batch", nullptr, 1, kIntKnobMax, 1};
+inline constexpr Knob kCacheBytesKnob{"cache-bytes", "DTDBD_CACHE_BYTES", 0,
+                                      std::numeric_limits<int64_t>::max(), 0};
+inline constexpr Knob kFeedbackRingKnob{"feedback-ring", nullptr, 1,
+                                        kIntKnobMax, 1024};
+inline constexpr Knob kDriftWindowKnob{"drift-window", nullptr, 1, kIntKnobMax,
+                                       256};
+
 struct ServerOptions {
-  // Serving worker threads. 0 = resolve from DTDBD_SERVE_WORKERS (strict
-  // parse; unset -> 1, invalid -> warning + 1).
+  // Serving worker threads. 0 = resolve kServeWorkersKnob from
+  // DTDBD_SERVE_WORKERS (strict parse; unset or invalid -> 1).
   int num_workers = 0;
   // Max inference requests coalesced into one forward (>= 1). 1 disables
   // batching.
-  int max_batch = 1;
+  int max_batch = static_cast<int>(kMaxBatchKnob.fallback);
   // Admission control: max requests waiting (excludes those being served
   // and control jobs). Shared across all models in the fleet.
   int64_t max_queue_depth = 64;
@@ -173,19 +186,17 @@ struct ServerOptions {
   std::string default_model_name = kDefaultModelName;
   // Prediction cache + in-flight dedup byte budget PER MODEL (DESIGN.md
   // §12). 0 = off (the pre-cache bitwise-pinned path: every request runs a
-  // forward). -1 = resolve from DTDBD_CACHE_BYTES (strict parse; unset or
-  // invalid -> 0). Positive = both layers on.
+  // forward). -1 = resolve kCacheBytesKnob from DTDBD_CACHE_BYTES (strict
+  // parse; unset or invalid -> 0). Positive = both layers on.
   int64_t cache_bytes = -1;
   // --- labeled-feedback quality monitoring (DESIGN.md §13) ---
-  // Capacity of each per-model, per-variant labeled-feedback ring. 0 =
-  // resolve from DTDBD_FEEDBACK_RING (strict parse; unset or invalid ->
-  // 1024). The ring bounds memory; the window below bounds every verdict.
-  int64_t feedback_ring = 0;
-  // Observations per windowed quality evaluation: the primary snapshot
-  // size behind HealthReport, the degraded-flag cadence, and the primary
-  // side of the canary quality gate. 0 = resolve from DTDBD_DRIFT_WINDOW
-  // (strict parse; unset or invalid -> 256).
-  int64_t drift_window = 0;
+  // Capacity (> 0) of each per-model, per-variant labeled-feedback ring.
+  // The ring bounds memory; the window below bounds every verdict.
+  int64_t feedback_ring = kFeedbackRingKnob.fallback;
+  // Observations (> 0) per windowed quality evaluation: the primary
+  // snapshot size behind HealthReport, the degraded-flag cadence, and the
+  // primary side of the canary quality gate.
+  int64_t drift_window = kDriftWindowKnob.fallback;
   // Windowed-AUC floor for the PRIMARY: when its windowed AUC — over at
   // least min_quality_samples labeled feedbacks with a defined AUC —
   // falls below this, the model raises its typed quality_degraded flag;
@@ -208,38 +219,6 @@ struct ServerOptions {
   // kFailedPrecondition if unset.
   std::function<std::unique_ptr<models::FakeNewsModel>()> model_factory;
 };
-
-// Strict resolution for the serving knobs, matching the --threads rule: a
-// present-but-invalid value (non-numeric, zero, negative, trailing junk)
-// logs a warning and yields the safe default of 1 instead of being
-// silently reinterpreted.
-int ServeWorkersFromEnv();  // DTDBD_SERVE_WORKERS; unset -> 1
-// --serve-workers flag, falling back to DTDBD_SERVE_WORKERS, then 1.
-int ResolveServeWorkers(const FlagParser& flags);
-// --max-batch flag; absent -> 1.
-int ResolveMaxBatch(const FlagParser& flags);
-// Prediction-cache budget. Unlike the worker knobs, 0 is a VALID value
-// ("cache off"), so these use the strict non-negative parse: unset -> 0,
-// invalid (sign, junk, overflow) -> warning + 0 — a typo'd budget must
-// disable the cache, not conjure one of surprise size.
-int64_t CacheBytesFromEnv();  // DTDBD_CACHE_BYTES; unset -> 0
-// --cache-bytes flag, falling back to DTDBD_CACHE_BYTES, then 0.
-int64_t ResolveCacheBytes(const FlagParser& flags);
-// Quality-monitoring knobs, strict-parsed like the worker knobs: a
-// present-but-invalid value warns and pins the documented default instead
-// of being silently reinterpreted or falling through to the env.
-int FeedbackRingFromEnv();  // DTDBD_FEEDBACK_RING; unset -> 1024
-// --feedback-ring flag, falling back to DTDBD_FEEDBACK_RING, then 1024.
-int ResolveFeedbackRing(const FlagParser& flags);
-int DriftWindowFromEnv();  // DTDBD_DRIFT_WINDOW; unset -> 256
-// --drift-window flag, falling back to DTDBD_DRIFT_WINDOW, then 256.
-int ResolveDriftWindow(const FlagParser& flags);
-// AUC slack in integer percentage points (5 -> 0.05) so the shared strict
-// positive-int parser applies; 0 would mean "any dip regresses" and is
-// rejected like every other invalid value.
-int QualitySlackPercentFromEnv();  // DTDBD_QUALITY_SLACK; unset -> 5
-// --quality-slack flag, falling back to DTDBD_QUALITY_SLACK, then 5.
-int ResolveQualitySlackPercent(const FlagParser& flags);
 
 // Nearest-rank percentiles over the first `count` slots of an (unordered)
 // latency ring, in milliseconds. p50 is the ceil(0.50*count)-th smallest
@@ -517,8 +496,6 @@ class Server {
   int num_workers_ = 1;  // resolved from options/env in the constructor
   int max_batch_ = 1;
   int64_t cache_bytes_ = 0;    // resolved; 0 = cache + dedup off
-  int64_t feedback_ring_ = 0;  // resolved quality-ring capacity
-  int64_t drift_window_ = 0;   // resolved quality-evaluation window
 
   // Fleet registry: guarded by mu_; ModelState addresses are stable (the
   // registry is append-only), so workers may keep pointers across unlock.

@@ -1,6 +1,6 @@
 // Prediction cache + in-flight dedup (DESIGN.md §12): the content-hash
 // identity (ContentHash vs RouteHash), the sharded LRU's exactness and
-// accounting, the strict --cache-bytes / DTDBD_CACHE_BYTES parse, the
+// accounting, the strict non-negative parse behind --cache-bytes, the
 // hit-vs-miss bitwise-parity contract across the whole model zoo at
 // multiple worker/thread counts, and the dedup fan-out deadline semantics.
 #include "serve/cache.h"
@@ -235,32 +235,6 @@ TEST_F(CacheTest, ParseNonNegativeInt64IsStrict) {
     SCOPED_TRACE(bad);
     EXPECT_FALSE(ParseNonNegativeInt64(bad, &v));
   }
-}
-
-TEST_F(CacheTest, CacheBytesEnvAndFlagResolution) {
-  // Flag wins over env; invalid values disable the cache (never a prefix
-  // reinterpretation, never a surprise fall-through to the env).
-  ::setenv("DTDBD_CACHE_BYTES", "4096", 1);
-  EXPECT_EQ(CacheBytesFromEnv(), 4096);
-  {
-    const char* argv[] = {"test", "--cache-bytes=8192"};
-    FlagParser flags(2, const_cast<char**>(argv));
-    EXPECT_EQ(ResolveCacheBytes(flags), 8192);
-  }
-  {
-    const char* argv[] = {"test", "--cache-bytes=junk"};
-    FlagParser flags(2, const_cast<char**>(argv));
-    EXPECT_EQ(ResolveCacheBytes(flags), 0);  // NOT the env's 4096
-  }
-  {
-    const char* argv[] = {"test"};
-    FlagParser flags(1, const_cast<char**>(argv));
-    EXPECT_EQ(ResolveCacheBytes(flags), 4096);  // absent flag -> env
-  }
-  ::setenv("DTDBD_CACHE_BYTES", "-5", 1);
-  EXPECT_EQ(CacheBytesFromEnv(), 0);
-  ::unsetenv("DTDBD_CACHE_BYTES");
-  EXPECT_EQ(CacheBytesFromEnv(), 0);
 }
 
 // ----- Hit-vs-miss bitwise parity across the zoo -----

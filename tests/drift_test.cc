@@ -4,17 +4,16 @@
 // trigger a rollback), the labeled-feedback path (typed rejection
 // taxonomy, degraded-flag raise/clear, quality-triggered auto-rollback,
 // window clearing across reload/promote barriers), the deterministic
-// DriftStream schedule incl. unseen-domain injection, the strict
-// --drift-window / --quality-slack / --feedback-ring resolvers, the
-// FeedbackFault sampler, the OnlineAdapter publish path, and the v2
-// health frame's quality fields.
+// DriftStream schedule incl. unseen-domain injection, the constructor's
+// rejection of non-positive quality capacities, the FeedbackFault sampler,
+// the OnlineAdapter publish path, and the v2 health frame's quality fields.
+// The --drift-window / --quality-slack / --feedback-ring rows are pinned by
+// the Knob table test in net_test.
 #include "drift/drift.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -23,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/flags.h"
 #include "data/generator.h"
 #include "drift/adapt.h"
 #include "models/model.h"
@@ -232,108 +230,6 @@ TEST(CanaryQualityGateTest, PerDomainRegressionFiresDespiteHealthyPool) {
   EXPECT_FALSE(EvaluateCanaryWindow(window, options).regression);
 }
 
-// ----- Flag / env resolvers -----
-
-class ScopedEnv {
- public:
-  explicit ScopedEnv(const char* name) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_, old_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
-
-template <typename Fn>
-int WithFlags(std::vector<std::string> args, Fn fn) {
-  args.insert(args.begin(), "drift_test");
-  std::vector<char*> argv;
-  for (std::string& a : args) argv.push_back(a.data());
-  const FlagParser flags(static_cast<int>(argv.size()), argv.data());
-  return fn(flags);
-}
-
-TEST(DriftFlagsTest, DriftWindowParsesStrictly) {
-  ScopedEnv guard("DTDBD_DRIFT_WINDOW");
-  EXPECT_EQ(DriftWindowFromEnv(), 256);
-  setenv("DTDBD_DRIFT_WINDOW", "64", 1);
-  EXPECT_EQ(DriftWindowFromEnv(), 64);
-  for (const char* bad : {"0", "-5", "abc", "64x", " 64", "6.4", "+64", ""}) {
-    setenv("DTDBD_DRIFT_WINDOW", bad, 1);
-    EXPECT_EQ(DriftWindowFromEnv(), 256) << "'" << bad << "'";
-  }
-  const auto resolve = [](const FlagParser& f) {
-    return ResolveDriftWindow(f);
-  };
-  unsetenv("DTDBD_DRIFT_WINDOW");
-  EXPECT_EQ(WithFlags({}, resolve), 256);
-  EXPECT_EQ(WithFlags({"--drift-window=128"}, resolve), 128);
-  setenv("DTDBD_DRIFT_WINDOW", "64", 1);
-  EXPECT_EQ(WithFlags({}, resolve), 64);                       // env fallback
-  EXPECT_EQ(WithFlags({"--drift-window=128"}, resolve), 128);  // flag wins
-  // A present-but-invalid flag pins the default; it does NOT fall through
-  // to the env (same rule as --serve-workers).
-  EXPECT_EQ(WithFlags({"--drift-window=wide"}, resolve), 256);
-  EXPECT_EQ(WithFlags({"--drift-window=0"}, resolve), 256);
-  EXPECT_EQ(WithFlags({"--drift-window=-1"}, resolve), 256);
-}
-
-TEST(DriftFlagsTest, FeedbackRingParsesStrictly) {
-  ScopedEnv guard("DTDBD_FEEDBACK_RING");
-  EXPECT_EQ(FeedbackRingFromEnv(), 1024);
-  setenv("DTDBD_FEEDBACK_RING", "512", 1);
-  EXPECT_EQ(FeedbackRingFromEnv(), 512);
-  for (const char* bad : {"0", "-1", "big", "1k", " 512", "5.12", ""}) {
-    setenv("DTDBD_FEEDBACK_RING", bad, 1);
-    EXPECT_EQ(FeedbackRingFromEnv(), 1024) << "'" << bad << "'";
-  }
-  const auto resolve = [](const FlagParser& f) {
-    return ResolveFeedbackRing(f);
-  };
-  unsetenv("DTDBD_FEEDBACK_RING");
-  EXPECT_EQ(WithFlags({}, resolve), 1024);
-  EXPECT_EQ(WithFlags({"--feedback-ring=256"}, resolve), 256);
-  setenv("DTDBD_FEEDBACK_RING", "512", 1);
-  EXPECT_EQ(WithFlags({}, resolve), 512);
-  EXPECT_EQ(WithFlags({"--feedback-ring=256"}, resolve), 256);
-  EXPECT_EQ(WithFlags({"--feedback-ring=huge"}, resolve), 1024);
-  EXPECT_EQ(WithFlags({"--feedback-ring=0"}, resolve), 1024);
-}
-
-TEST(DriftFlagsTest, QualitySlackParsesStrictly) {
-  ScopedEnv guard("DTDBD_QUALITY_SLACK");
-  EXPECT_EQ(QualitySlackPercentFromEnv(), 5);
-  setenv("DTDBD_QUALITY_SLACK", "10", 1);
-  EXPECT_EQ(QualitySlackPercentFromEnv(), 10);
-  for (const char* bad : {"0", "-3", "five", "5%", " 5", "0.05", ""}) {
-    setenv("DTDBD_QUALITY_SLACK", bad, 1);
-    EXPECT_EQ(QualitySlackPercentFromEnv(), 5) << "'" << bad << "'";
-  }
-  const auto resolve = [](const FlagParser& f) {
-    return ResolveQualitySlackPercent(f);
-  };
-  unsetenv("DTDBD_QUALITY_SLACK");
-  EXPECT_EQ(WithFlags({}, resolve), 5);
-  EXPECT_EQ(WithFlags({"--quality-slack=8"}, resolve), 8);
-  setenv("DTDBD_QUALITY_SLACK", "10", 1);
-  EXPECT_EQ(WithFlags({}, resolve), 10);
-  EXPECT_EQ(WithFlags({"--quality-slack=8"}, resolve), 8);
-  EXPECT_EQ(WithFlags({"--quality-slack=lots"}, resolve), 5);
-  EXPECT_EQ(WithFlags({"--quality-slack=0"}, resolve), 5);
-}
-
 // ----- FeedbackFault sampler -----
 
 TEST(FeedbackFaultTest, DeterministicUnderSeedAndCounted) {
@@ -449,6 +345,15 @@ class DriftServeTest : public ::testing::Test {
   models::ModelConfig config_;
   RequestLimits limits_;
 };
+
+TEST_F(DriftServeTest, NonPositiveQualityCapacitiesFailTheConstructor) {
+  ServerOptions ring = BaseOptions();
+  ring.feedback_ring = 0;
+  EXPECT_DEATH({ Server server(MakeSession(3), ring); }, "feedback_ring");
+  ServerOptions window = BaseOptions();
+  window.drift_window = 0;
+  EXPECT_DEATH({ Server server(MakeSession(3), window); }, "drift_window");
+}
 
 TEST_F(DriftServeTest, RecordFeedbackRejectionTaxonomy) {
   Server server(MakeSession(3), BaseOptions());

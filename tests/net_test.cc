@@ -3,14 +3,19 @@
 // a well-formed error frame or closes cleanly), protocol-level overload
 // control (RETRY_LATER with a retry-after hint, DEADLINE_EXCEEDED,
 // INVALID_ARGUMENT, UNAVAILABLE), connection limits, graceful drain, and
-// strict parsing of the net flags.
+// the Knob table: strict flag / env resolution of every serving and socket
+// row (this binary links both layers).
 #include "net/socket_server.h"
 
 #include <dirent.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +31,13 @@
 #include "serve/session.h"
 #include "text/frozen_encoder.h"
 #include "train/fault_injector.h"
+
+namespace dtdbd {
+
+// Names a Knob row by its flag in test names (not by its address).
+void PrintTo(const Knob* knob, std::ostream* os) { *os << "--" << knob->flag; }
+
+}  // namespace dtdbd
 
 namespace dtdbd::net {
 namespace {
@@ -555,43 +567,126 @@ TEST_F(NetTest, StopFlushesInFlightResponsesBeforeClosing) {
   server->Stop();
 }
 
-// ----- Strict net flag parsing -----
+// ----- Start() rejects a port htons would truncate -----
 
-TEST_F(NetTest, NetFlagsParseStrictly) {
-  const auto with_flags = [](std::vector<std::string> args, auto fn) {
-    args.insert(args.begin(), "net_test");
-    std::vector<char*> argv;
-    for (std::string& a : args) argv.push_back(a.data());
-    const FlagParser flags(static_cast<int>(argv.size()), argv.data());
-    return fn(flags);
-  };
-  const auto port = [](const FlagParser& f) {
-    return ResolvePositiveIntFlag(f, "port", 0, 0);
-  };
-  const auto max_conns = [](const FlagParser& f) {
-    return ResolvePositiveIntFlag(f, "max-conns", 64, 64);
-  };
-  const auto idle = [](const FlagParser& f) {
-    return ResolvePositiveIntFlag(f, "idle-timeout-ms", 5000, 5000);
-  };
-
-  EXPECT_EQ(with_flags({}, port), 0);
-  EXPECT_EQ(with_flags({"--port=9001"}, port), 9001);
-  // Junk pins the documented default instead of a silent atoi prefix.
-  EXPECT_EQ(with_flags({"--port=9001x"}, port), 0);
-  EXPECT_EQ(with_flags({"--port=-1"}, port), 0);
-  EXPECT_EQ(with_flags({"--port=zero"}, port), 0);
-
-  EXPECT_EQ(with_flags({}, max_conns), 64);
-  EXPECT_EQ(with_flags({"--max-conns=8"}, max_conns), 8);
-  EXPECT_EQ(with_flags({"--max-conns=0"}, max_conns), 64);
-  EXPECT_EQ(with_flags({"--max-conns=lots"}, max_conns), 64);
-
-  EXPECT_EQ(with_flags({}, idle), 5000);
-  EXPECT_EQ(with_flags({"--idle-timeout-ms=250"}, idle), 250);
-  EXPECT_EQ(with_flags({"--idle-timeout-ms= 250"}, idle), 5000);
-  EXPECT_EQ(with_flags({"--idle-timeout-ms=2.5"}, idle), 5000);
+TEST_F(NetTest, StartRejectsOutOfRangePortWithoutLeakingFds) {
+  auto server = MakeServer(QuietOptions());
+  const int fds_baseline = CountOpenFds();
+  for (const int port : {70000, -1}) {
+    SCOPED_TRACE(port);
+    SocketServerOptions options = NetOptions();
+    options.port = port;
+    SocketServer net(server.get(), options);
+    EXPECT_EQ(net.Start().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(CountOpenFds(), fds_baseline);
+  }
+  server->Stop();
 }
+
+// ----- The Knob table: every production flag / env row -----
+
+// Clears one environment variable for a scope and restores its previous
+// value afterwards (the CI serving matrix sets DTDBD_SERVE_WORKERS and
+// DTDBD_CACHE_BYTES for this whole binary). A null name is a no-op.
+class ScopedEnv {
+ public:
+  explicit ScopedEnv(const char* name) : name_(name) {
+    if (name_ == nullptr) return;
+    const char* old = std::getenv(name_);
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    unsetenv(name_);
+  }
+  ~ScopedEnv() {
+    if (name_ == nullptr) return;
+    if (had_old_) {
+      setenv(name_, old_.c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  bool had_old_ = false;
+  std::string old_;
+};
+
+// Resolves `knob` against a command line holding `args`.
+int64_t ResolveWithArgs(const Knob& knob, std::vector<std::string> args) {
+  args.insert(args.begin(), "net_test");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  const FlagParser flags(static_cast<int>(argv.size()), argv.data());
+  return ResolveKnob(knob, &flags);
+}
+
+class KnobTableTest : public ::testing::TestWithParam<const Knob*> {};
+
+TEST_P(KnobTableTest, ResolvesStrictly) {
+  const Knob& knob = *GetParam();
+  const ScopedEnv env_guard(knob.env);
+  const auto with_flag = [&knob](const std::string& value) {
+    return ResolveWithArgs(knob, {"--" + std::string(knob.flag) + "=" + value});
+  };
+
+  // Absent -> fallback, with or without a parser.
+  EXPECT_EQ(ResolveKnob(knob, nullptr), knob.fallback);
+  EXPECT_EQ(ResolveWithArgs(knob, {}), knob.fallback);
+
+  // Valid flags, both range ends included (cache's 0 and port's 65535).
+  EXPECT_EQ(with_flag(std::to_string(knob.min)), knob.min);
+  EXPECT_EQ(with_flag(std::to_string(knob.max)), knob.max);
+  const int64_t flag_value = knob.min + 1;
+  EXPECT_EQ(with_flag(std::to_string(flag_value)), flag_value);
+  EXPECT_EQ(ResolveWithArgs(knob, {"--" + std::string(knob.flag),
+                                   std::to_string(flag_value)}),
+            flag_value);
+
+  // Every bad string pins the fallback rather than a prefix or a clamp.
+  std::vector<std::string> bad = {"-1", "abc", "4x", " 4", "4 ", "2.5",
+                                  "+1", "",    "0x10", "1e6",
+                                  "99999999999999999999"};
+  if (knob.min == 1) bad.push_back("0");
+  if (knob.max < std::numeric_limits<int64_t>::max()) {
+    bad.push_back(std::to_string(knob.max + 1));
+  }
+  for (const std::string& value : bad) {
+    SCOPED_TRACE("'" + value + "'");
+    EXPECT_EQ(with_flag(value), knob.fallback);
+  }
+  if (knob.env == nullptr) return;
+
+  // The env twin: fallback for an absent flag, beaten by a valid flag, and
+  // never reached from an invalid one.
+  const int64_t env_value = knob.min + 2;
+  setenv(knob.env, std::to_string(env_value).c_str(), 1);
+  EXPECT_EQ(ResolveKnob(knob, nullptr), env_value);
+  EXPECT_EQ(ResolveWithArgs(knob, {}), env_value);
+  EXPECT_EQ(with_flag(std::to_string(flag_value)), flag_value);
+  for (const std::string& value : bad) {
+    SCOPED_TRACE("flag '" + value + "'");
+    EXPECT_EQ(with_flag(value), knob.fallback);
+  }
+  // An invalid env value falls back too.
+  for (const std::string& value : bad) {
+    SCOPED_TRACE("env '" + value + "'");
+    setenv(knob.env, value.c_str(), 1);
+    EXPECT_EQ(ResolveKnob(knob, nullptr), knob.fallback);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ProductionRows, KnobTableTest,
+    ::testing::Values(&serve::kServeWorkersKnob, &serve::kMaxBatchKnob,
+                      &serve::kCacheBytesKnob, &serve::kFeedbackRingKnob,
+                      &serve::kDriftWindowKnob, &serve::kQualitySlackKnob,
+                      &kPortKnob, &kMaxConnsKnob, &kIdleTimeoutMsKnob),
+    [](const ::testing::TestParamInfo<const Knob*>& info) {
+      std::string name = info.param->flag;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 // ----- Health frames (v2+) and the prediction cache over the wire -----
 

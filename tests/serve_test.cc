@@ -674,7 +674,7 @@ TEST_F(ServeTest, StopFailsQueuedUncoalescedRequestsUnderMultiWorker) {
   EXPECT_EQ(server.Health().served_ok, 0);
 }
 
-// ----- Serving knobs: strict flag / env resolution -----
+// ----- Serving workers: options, then the DTDBD_SERVE_WORKERS row -----
 
 // Save/restore DTDBD_SERVE_WORKERS around a test (mirrors the
 // DTDBD_NUM_THREADS helper in thread_pool_test).
@@ -697,55 +697,6 @@ class ScopedServeWorkersEnv {
   bool had_old_ = false;
   std::string old_;
 };
-
-template <typename Fn>
-int WithFlags(std::vector<std::string> args, Fn fn) {
-  args.insert(args.begin(), "serve_test");
-  std::vector<char*> argv;
-  for (std::string& a : args) argv.push_back(a.data());
-  const FlagParser flags(static_cast<int>(argv.size()), argv.data());
-  return fn(flags);
-}
-
-TEST_F(ServeTest, ServeWorkersFromEnvParsesStrictly) {
-  ScopedServeWorkersEnv guard;
-  unsetenv("DTDBD_SERVE_WORKERS");
-  EXPECT_EQ(ServeWorkersFromEnv(), 1);
-  setenv("DTDBD_SERVE_WORKERS", "3", 1);
-  EXPECT_EQ(ServeWorkersFromEnv(), 3);
-  for (const char* bad : {"0", "-2", "abc", "4x", " 4", "2.5", ""}) {
-    setenv("DTDBD_SERVE_WORKERS", bad, 1);
-    EXPECT_EQ(ServeWorkersFromEnv(), 1) << "'" << bad << "'";
-  }
-}
-
-TEST_F(ServeTest, ResolveServeWorkersPrefersFlagThenEnv) {
-  ScopedServeWorkersEnv guard;
-  const auto resolve = [](const FlagParser& f) {
-    return ResolveServeWorkers(f);
-  };
-  unsetenv("DTDBD_SERVE_WORKERS");
-  EXPECT_EQ(WithFlags({}, resolve), 1);
-  EXPECT_EQ(WithFlags({"--serve-workers=4"}, resolve), 4);
-  setenv("DTDBD_SERVE_WORKERS", "2", 1);
-  EXPECT_EQ(WithFlags({}, resolve), 2);                      // env fallback
-  EXPECT_EQ(WithFlags({"--serve-workers=4"}, resolve), 4);   // flag wins
-  // A present-but-invalid flag pins to the safe default of 1; it does NOT
-  // silently fall through to the env (same rule as --threads).
-  EXPECT_EQ(WithFlags({"--serve-workers=zero"}, resolve), 1);
-  EXPECT_EQ(WithFlags({"--serve-workers=0"}, resolve), 1);
-  EXPECT_EQ(WithFlags({"--serve-workers=-1"}, resolve), 1);
-}
-
-TEST_F(ServeTest, ResolveMaxBatchParsesStrictly) {
-  const auto resolve = [](const FlagParser& f) { return ResolveMaxBatch(f); };
-  EXPECT_EQ(WithFlags({}, resolve), 1);
-  EXPECT_EQ(WithFlags({"--max-batch=16"}, resolve), 16);
-  EXPECT_EQ(WithFlags({"--max-batch=0"}, resolve), 1);
-  EXPECT_EQ(WithFlags({"--max-batch=-8"}, resolve), 1);
-  EXPECT_EQ(WithFlags({"--max-batch=lots"}, resolve), 1);
-  EXPECT_EQ(WithFlags({"--max-batch=4x"}, resolve), 1);
-}
 
 TEST_F(ServeTest, ServerResolvesWorkerCountFromOptionsThenEnv) {
   ScopedServeWorkersEnv guard;
