@@ -698,6 +698,42 @@ class ScopedServeWorkersEnv {
   std::string old_;
 };
 
+// Resolves the --serve-workers row against a command line holding `args`.
+int64_t ResolveServeWorkersWith(std::vector<std::string> args) {
+  args.insert(args.begin(), "serve_test");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  const FlagParser flags(static_cast<int>(argv.size()), argv.data());
+  return ResolveKnob(kServeWorkersKnob, &flags);
+}
+
+TEST_F(ServeTest, ServeWorkersFromEnvParsesStrictly) {
+  ScopedServeWorkersEnv guard;
+  unsetenv("DTDBD_SERVE_WORKERS");
+  EXPECT_EQ(ResolveKnob(kServeWorkersKnob, nullptr), 1);
+  setenv("DTDBD_SERVE_WORKERS", "3", 1);
+  EXPECT_EQ(ResolveKnob(kServeWorkersKnob, nullptr), 3);
+  for (const char* bad : {"0", "-2", "abc", "4x", " 4", "2.5", ""}) {
+    setenv("DTDBD_SERVE_WORKERS", bad, 1);
+    EXPECT_EQ(ResolveKnob(kServeWorkersKnob, nullptr), 1) << "'" << bad << "'";
+  }
+}
+
+TEST_F(ServeTest, ResolveServeWorkersPrefersFlagThenEnv) {
+  ScopedServeWorkersEnv guard;
+  unsetenv("DTDBD_SERVE_WORKERS");
+  EXPECT_EQ(ResolveServeWorkersWith({}), 1);
+  EXPECT_EQ(ResolveServeWorkersWith({"--serve-workers=4"}), 4);
+  setenv("DTDBD_SERVE_WORKERS", "2", 1);
+  EXPECT_EQ(ResolveServeWorkersWith({}), 2);                     // env fallback
+  EXPECT_EQ(ResolveServeWorkersWith({"--serve-workers=4"}), 4);  // flag wins
+  // A present-but-invalid flag pins to the safe default of 1; it does NOT
+  // silently fall through to the env (same rule as --threads).
+  EXPECT_EQ(ResolveServeWorkersWith({"--serve-workers=zero"}), 1);
+  EXPECT_EQ(ResolveServeWorkersWith({"--serve-workers=0"}), 1);
+  EXPECT_EQ(ResolveServeWorkersWith({"--serve-workers=-1"}), 1);
+}
+
 TEST_F(ServeTest, ServerResolvesWorkerCountFromOptionsThenEnv) {
   ScopedServeWorkersEnv guard;
   setenv("DTDBD_SERVE_WORKERS", "3", 1);
