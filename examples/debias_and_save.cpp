@@ -6,7 +6,7 @@
 //  3. Reload them into a fresh model and verify identical predictions.
 //  4. Print the per-domain error-rate profile of the deployed model.
 //
-//   ./build/examples/debias_and_save [--scale 0.3] [--epochs 8] \
+//   ./build/examples/debias_and_save [--scale 0.3] [--epochs 8]
 //       [--out /tmp/dtdbd_student.bin] [--ckpt /tmp/dtdbd_student.ckpt]
 #include <cstdio>
 

@@ -2,7 +2,7 @@
 // corpus and compare performance (macro F1) and bias (FNED/FPED/Total).
 //
 //   ./build/examples/train_baseline_zoo
-//   ./build/examples/train_baseline_zoo --models TextCNN,MDFEND,M3FEND \
+//   ./build/examples/train_baseline_zoo --models TextCNN,MDFEND,M3FEND
 //       --scale 0.4 --epochs 10
 #include <cstdio>
 #include <sstream>

@@ -91,6 +91,22 @@ void CheckSameShape(const char* op, const Tensor& a, const Tensor& b) {
       << ShapeToString(b.shape());
 }
 
+// The terms of an AxpyChain: over (p, q) in [0, outer) x [0, inner),
+// ascending, term (p, q) adds Coef(p, q) * Src(p, q)[j] to row[j], with
+//   Coef(p, q) = g[p * g_outer + q * g_inner], gated as
+//                g * mask + 0.0f (mask at the same offset) when mask != null;
+//   Src(p, q)  = x + p * x_outer + q * x_inner.
+// Terms whose coefficient is +0 or -0 are skipped, like the conv backward's
+// scalar `if (gv == 0.0f) continue`.
+struct AxpyTerms {
+  const float* g;
+  const float* mask;
+  int64_t g_outer, g_inner;
+  const float* x;
+  int64_t x_outer, x_inner;
+  int64_t outer, inner;
+};
+
 // ----- SIMD fast-path helpers (runtime-dispatched, bitwise-exact) -----
 //
 // Every helper below performs exactly the scalar reference loop's
@@ -310,9 +326,223 @@ __attribute__((target("avx512f"))) void LayerNormRowAvx512(
     o[j] = pg[j] * h + pbeta[j];
   }
 }
+
+// Lanes [0, k) of a 16-lane register, for k >= 1 (all 16 when k >= 16).
+inline __mmask16 LaneMask(int64_t k) {
+  return k >= 16 ? __mmask16{0xFFFF}
+                 : static_cast<__mmask16>((1u << k) - 1u);
+}
+
+// Row-in-registers kernels hold a row slice of up to 16 * NV floats in NV
+// zmm accumulators for a whole accumulation chain, loading and storing it
+// once instead of once per term. The last register is masked to the
+// slice's tail; masked loads never touch memory past the slice.
+constexpr int kMaxRowRegs = 10;  // 160 floats, leaving registers for operands
+
+// row[j0 + j] += Coef(p, q) * Src(p, q)[j0 + j] for j in [0, len), over
+// the terms (p, q) of `t` in ascending order: each element sees the scalar
+// loop's mul then add, term by term, in the same order. The zero skip is a
+// branch: behind MaxOverTime pooling nearly every conv coefficient is
+// zero, so it predicts well and saves the loads.
+template <int NV>
+struct AxpyChainAvx512 {
+  __attribute__((target("avx512f"))) static void Run(int64_t j0,
+                                                     int64_t len, float* row,
+                                                     const AxpyTerms& t) {
+    __mmask16 m[NV];
+    __m512 acc[NV];
+#pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) {
+      m[v] = LaneMask(len - 16 * v);
+      acc[v] = _mm512_maskz_loadu_ps(m[v], row + j0 + 16 * v);
+    }
+    const float* const mask = t.mask;
+    for (int64_t p = 0; p < t.outer; ++p) {
+      const float* g = t.g + p * t.g_outer;
+      const float* gm = mask != nullptr ? mask + p * t.g_outer : nullptr;
+      const float* x = t.x + p * t.x_outer + j0;
+      for (int64_t q = 0; q < t.inner; ++q) {
+        float a = g[q * t.g_inner];
+        if (mask != nullptr) a = a * gm[q * t.g_inner] + 0.0f;
+        if (a == 0.0f) continue;
+        const __m512 va = _mm512_set1_ps(a);
+        const float* xq = x + q * t.x_inner;
+#pragma GCC unroll 16
+        for (int v = 0; v < NV; ++v) {
+          acc[v] = _mm512_add_ps(
+              acc[v],
+              _mm512_mul_ps(va, _mm512_maskz_loadu_ps(m[v], xq + 16 * v)));
+        }
+      }
+    }
+#pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) {
+      _mm512_mask_storeu_ps(row + j0 + 16 * v, m[v], acc[v]);
+    }
+  }
+};
+
+// orow[j0 + j] = sum_kk (xi[kk] - xt[kk * b + j0 + j])^2 over ascending kk
+// from 0, for j in [0, len): lane j runs PairwiseSquaredDistances' scalar
+// chain for column j0 + j. xt is x transposed to [n, b].
+template <int NV>
+struct PairwiseRowAvx512 {
+  __attribute__((target("avx512f"))) static void Run(
+      int64_t j0, int64_t len, const float* xi, const float* xt, int64_t b,
+      int64_t n, float* orow) {
+    __mmask16 m[NV];
+    __m512 acc[NV];
+#pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) {
+      m[v] = LaneMask(len - 16 * v);
+      acc[v] = _mm512_setzero_ps();
+    }
+    for (int64_t kk = 0; kk < n; ++kk) {
+      const __m512 vx = _mm512_set1_ps(xi[kk]);
+      const float* col = xt + kk * b + j0;
+#pragma GCC unroll 16
+      for (int v = 0; v < NV; ++v) {
+        const __m512 d =
+            _mm512_sub_ps(vx, _mm512_maskz_loadu_ps(m[v], col + 16 * v));
+        acc[v] = _mm512_add_ps(acc[v], _mm512_mul_ps(d, d));
+      }
+    }
+#pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) {
+      _mm512_mask_storeu_ps(orow + j0 + 16 * v, m[v], acc[v]);
+    }
+  }
+};
+
+// Runs K<NV>::Run(j0, len, args...) over [0, n) in slices of at most
+// kMaxRowRegs registers, NV fitted to each slice.
+template <template <int> class K, typename... A>
+void ForRowSlices(int64_t n, const A&... args) {
+  for (int64_t j0 = 0; j0 < n; j0 += 16 * kMaxRowRegs) {
+    const int64_t len = std::min<int64_t>(16 * kMaxRowRegs, n - j0);
+    switch ((len + 15) / 16) {
+      case 1: K<1>::Run(j0, len, args...); break;
+      case 2: K<2>::Run(j0, len, args...); break;
+      case 3: K<3>::Run(j0, len, args...); break;
+      case 4: K<4>::Run(j0, len, args...); break;
+      case 5: K<5>::Run(j0, len, args...); break;
+      case 6: K<6>::Run(j0, len, args...); break;
+      case 7: K<7>::Run(j0, len, args...); break;
+      case 8: K<8>::Run(j0, len, args...); break;
+      case 9: K<9>::Run(j0, len, args...); break;
+      default: K<10>::Run(j0, len, args...); break;
+    }
+  }
+}
+
+// gb[ci] += g[r, ci] * mask[r, ci] + 0.0f (mask null: g[r, ci]) over rows r
+// ascending, for channels ci in [s, e) with the channels in the lanes;
+// a zero gated grad leaves its lane unchanged, like the scalar skip.
+__attribute__((target("avx512f"))) void GatedColumnSumAvx512(
+    const float* g, const float* mask, int64_t rows, int64_t c, int64_t s,
+    int64_t e, float* gb) {
+  const __m512 zero = _mm512_setzero_ps();
+  for (int64_t c0 = s; c0 < e; c0 += 16) {
+    const __mmask16 m = LaneMask(e - c0);
+    __m512 acc = _mm512_maskz_loadu_ps(m, gb + c0);
+    for (int64_t r = 0; r < rows; ++r) {
+      __m512 gv = _mm512_maskz_loadu_ps(m, g + r * c + c0);
+      if (mask != nullptr) {
+        gv = _mm512_add_ps(
+            _mm512_mul_ps(gv, _mm512_maskz_loadu_ps(m, mask + r * c + c0)),
+            zero);
+      }
+      const __mmask16 on = _mm512_cmp_ps_mask(gv, zero, _CMP_NEQ_UQ);
+      acc = _mm512_mask_add_ps(acc, on, acc, gv);
+    }
+    _mm512_mask_storeu_ps(gb + c0, m, acc);
+  }
+}
+
+// orow[j] += sum_k cat[k] * w[k * d + j] for j in [0, d), k ascending over
+// [0, 2d): the frozen encoder's mix with j in the lanes, 32 outputs held in
+// four 256-bit registers across the whole k chain, separate mul and add.
+// 256-bit on purpose: the mix runs once per token on the batch-of-one
+// serving path, where the same kernel in 512-bit registers raised
+// serve_unique's process CPU per reply by ~9% (median of 4 alternating
+// pairs), most likely through the lower clock the core runs at after
+// dense 512-bit FP work. Next to std::tanh the mix is a small share of an
+// encode, so the narrower vector costs training almost nothing.
+__attribute__((target("avx"))) void FrozenMixRowAvx(float* orow, int64_t d,
+                                                    const float* cat,
+                                                    const float* w) {
+  static const int32_t kLanes[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                     0,  0,  0,  0,  0,  0,  0,  0};
+  for (int64_t j0 = 0; j0 < d; j0 += 32) {
+    __m256i m[4];
+    __m256 acc[4];
+#pragma GCC unroll 4
+    for (int v = 0; v < 4; ++v) {
+      const int64_t live = std::clamp<int64_t>(d - j0 - 8 * v, 0, 8);
+      m[v] = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(kLanes + 8 - live));
+      acc[v] = _mm256_maskload_ps(orow + j0 + 8 * v, m[v]);
+    }
+    for (int64_t k = 0; k < 2 * d; ++k) {
+      const __m256 va = _mm256_set1_ps(cat[k]);
+      const float* x = w + k * d + j0;
+#pragma GCC unroll 4
+      for (int v = 0; v < 4; ++v) {
+        acc[v] = _mm256_add_ps(
+            acc[v], _mm256_mul_ps(va, _mm256_maskload_ps(x + 8 * v, m[v])));
+      }
+    }
+#pragma GCC unroll 4
+    for (int v = 0; v < 4; ++v) {
+      _mm256_maskstore_ps(orow + j0 + 8 * v, m[v], acc[v]);
+    }
+  }
+}
+
+// gi[kk] += 2 * (xi[kk] - xj[kk]) * gsum for kk in [0, n), associated as
+// (2 * d) * gsum like the scalar PairwiseSquaredDistances backward.
+__attribute__((target("avx512f"))) void PairwiseGradRowAvx512(
+    float* gi, const float* xi, const float* xj, float gsum, int64_t n) {
+  const __m512 two = _mm512_set1_ps(2.0f);
+  const __m512 vg = _mm512_set1_ps(gsum);
+  for (int64_t kk = 0; kk < n; kk += 16) {
+    const __mmask16 m = LaneMask(n - kk);
+    const __m512 d = _mm512_sub_ps(_mm512_maskz_loadu_ps(m, xi + kk),
+                                   _mm512_maskz_loadu_ps(m, xj + kk));
+    _mm512_mask_storeu_ps(
+        gi + kk, m,
+        _mm512_add_ps(_mm512_maskz_loadu_ps(m, gi + kk),
+                      _mm512_mul_ps(_mm512_mul_ps(two, d), vg)));
+  }
+}
 #else
 inline bool UseAvx512() { return false; }
 #endif  // x86_64
+
+// row[j] += Coef(p, q) * Src(p, q)[j] for j in [0, n) over the terms of
+// `t` (see AxpyTerms): the shared inner loop of both conv backward phases.
+// `vec` selects the row-in-registers AVX-512 path, which is bitwise equal
+// to the scalar loop.
+void AxpyChain(bool vec, float* row, int64_t n, const AxpyTerms& t) {
+#ifdef DTDBD_SIMD_AVX512
+  if (vec) {
+    ForRowSlices<AxpyChainAvx512>(n, row, t);
+    return;
+  }
+#else
+  (void)vec;
+#endif
+  for (int64_t p = 0; p < t.outer; ++p) {
+    for (int64_t q = 0; q < t.inner; ++q) {
+      const int64_t off = p * t.g_outer + q * t.g_inner;
+      float a = t.g[off];
+      if (t.mask != nullptr) a = a * t.mask[off] + 0.0f;
+      if (a == 0.0f) continue;
+      const float* x = t.x + p * t.x_outer + q * t.x_inner;
+      for (int64_t j = 0; j < n; ++j) row[j] += a * x[j];
+    }
+  }
+}
 
 // The exact ikj accumulation of MatMul (zero-skip per A element) for
 // output rows [s, e) — shared by MatMul and the fused LinearRelu. `vec`
@@ -1151,35 +1381,49 @@ const Op* const kEmbeddingGather =
     OpRegistry::Get().Register({"EmbeddingGather", 1,
                                 &EmbeddingGatherBackward});
 
+// The frozen encoder records no inputs and has no backward: its tensors
+// are constants, so the output is always detached.
+const Op* const kFrozenEncode =
+    OpRegistry::Get().Register({"FrozenEncode", 0, nullptr});
+
 // ----- Conv1dSeq -----
 
-// Shared by Conv1dSeq and the fused Conv1dSeqRelu (which passes the
-// ReLU-gated grad); `g` addresses self->numel elements in logical order.
-void Conv1dSeqBackwardWithGrad(Node* self, const float* g) {
+// Shared by Conv1dSeq and the fused Conv1dSeqRelu, whose saved ReLU mask
+// gates each upstream grad where it is read: g * mask + 0.0f is exactly
+// what the unfused Relu backward leaves in the conv node's grad. `g`
+// addresses self->numel elements in logical order; `mask` is null for the
+// plain conv.
+void Conv1dSeqBackwardWithGrad(Node* self, const float* g,
+                               const float* mask) {
   Node* xn = self->inputs[0].get();
   Node* wn = self->inputs[1].get();
   Node* bn = self->inputs[2].get();
   const int64_t b = self->shape[0], to = self->shape[1], c = self->shape[2];
   const int64_t t = xn->shape[1], e = xn->shape[2];
   const int64_t win = wn->shape[1];
+  const bool vec = UseAvx512();
   // Phase 1: weight/bias gradients, sharded over output channels — each
   // channel's gw row and gb entry belong to exactly one shard, accumulated
   // over (bi, o) in ascending order like the serial kernel.
   if (wn->requires_grad || bn->requires_grad) {
     const float* px = xn->cdata();
     ParallelFor(c, GrainForRows(b * to * win), [&](int64_t s, int64_t e2) {
+#ifdef DTDBD_SIMD_AVX512
+      if (bn->requires_grad && vec) {
+        GatedColumnSumAvx512(g, mask, b * to, c, s, e2, bn->grad.data());
+      }
+#endif
       for (int64_t ci = s; ci < e2; ++ci) {
-        for (int64_t bi = 0; bi < b; ++bi) {
-          for (int64_t o = 0; o < to; ++o) {
-            const float gv = g[(bi * to + o) * c + ci];
-            if (gv == 0.0f) continue;
-            if (bn->requires_grad) bn->grad[ci] += gv;
-            if (wn->requires_grad) {
-              const float* window = px + (bi * t + o) * e;
-              float* gw = wn->grad.data() + ci * win;
-              for (int64_t j = 0; j < win; ++j) gw[j] += gv * window[j];
-            }
+        if (bn->requires_grad && !vec) {
+          for (int64_t r = ci; r < b * to * c; r += c) {
+            const float gv = mask != nullptr ? g[r] * mask[r] + 0.0f : g[r];
+            if (gv != 0.0f) bn->grad[ci] += gv;
           }
+        }
+        if (wn->requires_grad) {
+          AxpyChain(vec, wn->grad.data() + ci * win, win,
+                    {g + ci, mask != nullptr ? mask + ci : nullptr, to * c, c,
+                     px, t * e, e, b, to});
         }
       }
     });
@@ -1191,14 +1435,10 @@ void Conv1dSeqBackwardWithGrad(Node* self, const float* g) {
     ParallelFor(b, GrainForRows(to * c * win), [&](int64_t s, int64_t e2) {
       for (int64_t bi = s; bi < e2; ++bi) {
         for (int64_t o = 0; o < to; ++o) {
-          const float* grow = g + (bi * to + o) * c;
-          float* gx = xn->grad.data() + (bi * t + o) * e;
-          for (int64_t ci = 0; ci < c; ++ci) {
-            const float gv = grow[ci];
-            if (gv == 0.0f) continue;
-            const float* wrow = pw + ci * win;
-            for (int64_t j = 0; j < win; ++j) gx[j] += gv * wrow[j];
-          }
+          const int64_t r = (bi * to + o) * c;
+          AxpyChain(vec, xn->grad.data() + (bi * t + o) * e, win,
+                    {g + r, mask != nullptr ? mask + r : nullptr, 0, 1, pw, 0,
+                     win, 1, c});
         }
       }
     });
@@ -1206,7 +1446,7 @@ void Conv1dSeqBackwardWithGrad(Node* self, const float* g) {
 }
 
 void Conv1dSeqBackward(Node* self) {
-  Conv1dSeqBackwardWithGrad(self, self->grad.data());
+  Conv1dSeqBackwardWithGrad(self, self->grad.data(), /*mask=*/nullptr);
 }
 
 const Op* const kConv1dSeq =
@@ -1220,16 +1460,7 @@ struct Conv1dSeqReluState {
 
 void Conv1dSeqReluBackward(Node* self) {
   const auto* st = static_cast<const Conv1dSeqReluState*>(self->saved.get());
-  const float* g = self->grad.data();
-  const float* mask = st->mask.data();
-  // Gate through the ReLU exactly as the unfused Relu backward would leave
-  // it in the conv node's grad, then replay the conv backward phases.
-  std::vector<float> g2(static_cast<size_t>(self->numel));
-  float* pg2 = g2.data();
-  ParallelFor(self->numel, kGrain, [&](int64_t s, int64_t e) {
-    for (int64_t i = s; i < e; ++i) pg2[i] = g[i] * mask[i] + 0.0f;
-  });
-  Conv1dSeqBackwardWithGrad(self, pg2);
+  Conv1dSeqBackwardWithGrad(self, self->grad.data(), st->mask.data());
 }
 
 const Op* const kConv1dSeqRelu =
@@ -1408,6 +1639,7 @@ void PairwiseSquaredDistancesBackward(Node* self) {
   const float* px = in->cdata();
   const float* g = self->grad.data();
   float* gibase = in->grad.data();
+  const bool vec = UseAvx512();
   // Row-sharded: row i collects the gradient from both symmetric entries
   // (i,j) and (j,i) itself, so shards never write another shard's rows.
   ParallelFor(b, GrainForRows(b * n), [&](int64_t s, int64_t e) {
@@ -1419,6 +1651,14 @@ void PairwiseSquaredDistancesBackward(Node* self) {
         const float gsum = g[i * b + j] + g[j * b + i];
         if (gsum == 0.0f) continue;
         const float* xj = px + j * n;
+#ifdef DTDBD_SIMD_AVX512
+        if (vec) {
+          PairwiseGradRowAvx512(gi, xi, xj, gsum, n);
+          continue;
+        }
+#else
+        (void)vec;
+#endif
         for (int64_t kk = 0; kk < n; ++kk) {
           gi[kk] += 2.0f * (xi[kk] - xj[kk]) * gsum;
         }
@@ -1818,6 +2058,71 @@ Tensor EmbeddingGather(const Tensor& table_in, const std::vector<int>& ids,
   state->ids = ids;
   return MakeOp(kEmbeddingGather, {batch, time, e}, std::move(out), {table},
                 state);
+}
+
+Tensor FrozenEncode(const Tensor& table_in, const Tensor& mix_w_in,
+                    const Tensor& mix_b_in, const std::vector<int>& ids,
+                    int64_t batch, int64_t time) {
+  DTDBD_CHECK_EQ(table_in.ndim(), 2);
+  DTDBD_CHECK_EQ(static_cast<int64_t>(ids.size()), batch * time);
+  Tensor table = Contiguous(table_in);
+  Tensor w = Contiguous(mix_w_in);
+  Tensor bias = Contiguous(mix_b_in);
+  const int64_t v = table.dim(0), d = table.dim(1);
+  DTDBD_CHECK(w.shape() == (Shape{2 * d, d}))
+      << "FrozenEncode: mix weight must be [2*dim, dim], got "
+      << ShapeToString(w.shape());
+  DTDBD_CHECK(bias.shape() == (Shape{d}))
+      << "FrozenEncode: mix bias must be [dim], got "
+      << ShapeToString(bias.shape());
+  // All ids bounds-checked up front: the neighbourhood loop reads ids at
+  // offsets other than the current position, so a per-element check at
+  // use would not cover every read.
+  {
+    const Status ids_ok = ValidateTokenIds(ids, v);
+    DTDBD_CHECK(ids_ok.ok()) << "FrozenEncode: " << ids_ok.message();
+  }
+  ScopedOpTimer timer(kFrozenEncode);
+  const float* tab = table.data().data();
+  const float* pw = w.data().data();
+  const float* pb = bias.data().data();
+  std::vector<float> out(static_cast<size_t>(batch * time * d));
+  const bool vec = UseAvx512();
+  // h_t = tanh(W^T [e_t ; ctx_t] + b), ctx_t the mean of the +/-1
+  // neighbourhood (whichever neighbours exist at the edges).
+  std::vector<float> cat(static_cast<size_t>(2 * d));
+  for (int64_t bi = 0; bi < batch; ++bi) {
+    for (int64_t ti = 0; ti < time; ++ti) {
+      const float* e = tab + static_cast<int64_t>(ids[bi * time + ti]) * d;
+      std::copy_n(e, d, cat.begin());
+      std::fill_n(cat.begin() + d, d, 0.0f);
+      int count = 0;
+      for (int64_t tn : {ti - 1, ti + 1}) {
+        if (tn < 0 || tn >= time) continue;
+        const float* en =
+            tab + static_cast<int64_t>(ids[bi * time + tn]) * d;
+        for (int64_t j = 0; j < d; ++j) cat[d + j] += en[j];
+        ++count;
+      }
+      if (count > 0) {
+        const float inv = 1.0f / static_cast<float>(count);
+        for (int64_t j = 0; j < d; ++j) cat[d + j] *= inv;
+      }
+      float* orow = out.data() + (bi * time + ti) * d;
+      std::copy_n(pb, d, orow);
+      if (vec) {
+#ifdef DTDBD_SIMD_AVX512
+        FrozenMixRowAvx(orow, d, cat.data(), pw);
+#endif
+      } else {
+        for (int64_t k = 0; k < 2 * d; ++k) {
+          for (int64_t j = 0; j < d; ++j) orow[j] += cat[k] * pw[k * d + j];
+        }
+      }
+      for (int64_t j = 0; j < d; ++j) orow[j] = std::tanh(orow[j]);
+    }
+  }
+  return MakeOp(kFrozenEncode, {batch, time, d}, std::move(out), {});
 }
 
 namespace {
@@ -2267,12 +2572,28 @@ Tensor PairwiseSquaredDistances(const Tensor& x_in) {
   const float* px = x.data().data();
   std::vector<float> out(static_cast<size_t>(b * b), 0.0f);
   float* po = out.data();
+  // The vector path puts j in the lanes over x transposed to [n, b].
+  const bool vec = UseAvx512();
+  std::vector<float> xt;
+  if (vec) {
+    xt.resize(static_cast<size_t>(n * b));
+    for (int64_t j = 0; j < b; ++j) {
+      for (int64_t kk = 0; kk < n; ++kk) xt[kk * b + j] = px[j * n + kk];
+    }
+  }
   // Row-sharded; (i,j) and (j,i) compute the same value bit for bit, since
   // (a-b)^2 and (b-a)^2 round identically.
   ParallelFor(b, GrainForRows(b * n), [&](int64_t s, int64_t e) {
     for (int64_t i = s; i < e; ++i) {
       const float* xi = px + i * n;
       float* orow = po + i * b;
+#ifdef DTDBD_SIMD_AVX512
+      if (vec) {
+        ForRowSlices<PairwiseRowAvx512>(b, xi, xt.data(), b, n, orow);
+        orow[i] = 0.0f;
+        continue;
+      }
+#endif
       for (int64_t j = 0; j < b; ++j) {
         if (j == i) {
           orow[j] = 0.0f;

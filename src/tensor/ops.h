@@ -81,6 +81,17 @@ Status ValidateTokenIds(const std::vector<int>& ids, int64_t vocab_size);
 Tensor EmbeddingGather(const Tensor& table, const std::vector<int>& ids,
                        int64_t batch, int64_t time);
 
+// ----- Frozen encoder forward (text::FrozenEncoder) -----
+// table[V,D], mix_w[2D,D], mix_b[D]; ids row-major [batch, time] ->
+// [batch, time, D] with h_t = tanh(mix_w^T [e_t ; ctx_t] + mix_b), where
+// e_t = table[ids_t] and ctx_t is the mean of the rows of the ids at t-1
+// and t+1 that exist (zero when neither does). Non-differentiable: the
+// output is detached whatever the inputs. Out-of-range ids die with a
+// readable message (callers validate with ValidateTokenIds first).
+Tensor FrozenEncode(const Tensor& table, const Tensor& mix_w,
+                    const Tensor& mix_b, const std::vector<int>& ids,
+                    int64_t batch, int64_t time);
+
 // ----- Convolution over a token sequence (TextCNN) -----
 // x[B,T,E], weight[C, k*E], bias[C], kernel width k; returns [B, T-k+1, C].
 Tensor Conv1dSeq(const Tensor& x, const Tensor& weight, const Tensor& bias,

@@ -1,7 +1,5 @@
 #include "text/frozen_encoder.h"
 
-#include <cmath>
-
 #include "tensor/init.h"
 #include "tensor/ops.h"
 
@@ -21,53 +19,7 @@ FrozenEncoder::FrozenEncoder(int vocab_size, int64_t dim, uint64_t seed)
 
 Tensor FrozenEncoder::Encode(const std::vector<int>& ids, int64_t batch,
                              int64_t time) const {
-  DTDBD_CHECK_EQ(static_cast<int64_t>(ids.size()), batch * time);
-  const int64_t v = table_.dim(0);
-  // All ids bounds-checked up front (the neighborhood loop below reads ids
-  // at offsets other than the current position, so a per-element check at
-  // use would not cover every read). Recoverable callers validate first via
-  // tensor::ValidateTokenIds; reaching this check is API misuse.
-  {
-    const Status ids_ok = tensor::ValidateTokenIds(ids, v);
-    DTDBD_CHECK(ids_ok.ok()) << "FrozenEncoder::Encode: " << ids_ok.message();
-  }
-  std::vector<float> out(static_cast<size_t>(batch * time * dim_));
-  const float* tab = table_.data().data();
-  const float* w = mix_w_.data().data();
-  const float* b = mix_b_.data().data();
-  // h_t = tanh(W [e_t ; ctx_t] + b), ctx_t = mean of the +/-1 neighborhood.
-  std::vector<float> cat(2 * dim_);
-  for (int64_t bi = 0; bi < batch; ++bi) {
-    for (int64_t ti = 0; ti < time; ++ti) {
-      const int id = ids[bi * time + ti];
-      const float* e = tab + static_cast<int64_t>(id) * dim_;
-      // Context: average of neighbors (PAD-free best effort at edges).
-      for (int64_t j = 0; j < dim_; ++j) cat[j] = e[j];
-      int count = 0;
-      for (int64_t j = 0; j < dim_; ++j) cat[dim_ + j] = 0.0f;
-      for (int64_t dt : {int64_t{-1}, int64_t{1}}) {
-        const int64_t tn = ti + dt;
-        if (tn < 0 || tn >= time) continue;
-        const int idn = ids[bi * time + tn];
-        const float* en = tab + static_cast<int64_t>(idn) * dim_;
-        for (int64_t j = 0; j < dim_; ++j) cat[dim_ + j] += en[j];
-        ++count;
-      }
-      if (count > 0) {
-        const float inv = 1.0f / static_cast<float>(count);
-        for (int64_t j = 0; j < dim_; ++j) cat[dim_ + j] *= inv;
-      }
-      float* orow = out.data() + (bi * time + ti) * dim_;
-      for (int64_t j = 0; j < dim_; ++j) {
-        float acc = b[j];
-        for (int64_t k = 0; k < 2 * dim_; ++k) {
-          acc += cat[k] * w[k * dim_ + j];
-        }
-        orow[j] = std::tanh(acc);
-      }
-    }
-  }
-  return Tensor::FromData({batch, time, dim_}, std::move(out));
+  return tensor::FrozenEncode(table_, mix_w_, mix_b_, ids, batch, time);
 }
 
 }  // namespace dtdbd::text

@@ -6,7 +6,10 @@
 // fixed random mixing layer over a local context window, giving mildly
 // contextual, information-preserving token features. No parameter is ever
 // trained (all tensors have requires_grad = false), matching the frozen
-// setting; see DESIGN.md §1 for the substitution rationale.
+// setting; see DESIGN.md §1 for the substitution rationale. The kernel is
+// the registered tensor op FrozenEncode (tensor/ops.h), so per-op profiling
+// sees it and its AVX-512 path builds without FMA contraction; Encode only
+// supplies the frozen tensors.
 #ifndef DTDBD_TEXT_FROZEN_ENCODER_H_
 #define DTDBD_TEXT_FROZEN_ENCODER_H_
 

@@ -46,18 +46,22 @@ class ScopedSimd {
 };
 
 // One consistency case: builds leaves + a scalar loss from fixed seeds.
+// `outputs` are op results whose every bit is compared too, beyond what
+// the scalar loss keeps.
 struct Built {
   std::vector<Tensor> leaves;
   Tensor loss;
+  std::vector<Tensor> outputs = {};
 };
 
 struct Case {
-  const char* name;
+  std::string name;
   std::function<Built()> build;
 };
 
 struct CaseResult {
   std::vector<float> loss;
+  std::vector<std::vector<float>> outputs;
   std::vector<std::vector<float>> grads;
   std::string dump;
 };
@@ -68,6 +72,7 @@ CaseResult RunCase(const Case& c) {
   r.dump = DumpGraph(built.loss);
   built.loss.Backward();
   r.loss = built.loss.ToVector();
+  for (Tensor& out : built.outputs) r.outputs.push_back(out.ToVector());
   for (Tensor& leaf : built.leaves) r.grads.push_back(leaf.grad());
   return r;
 }
@@ -78,8 +83,13 @@ bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
 }
 
 void ExpectBitwiseEqual(const CaseResult& a, const CaseResult& b,
-                        const char* case_name) {
+                        const std::string& case_name) {
   EXPECT_TRUE(BitwiseEqual(a.loss, b.loss)) << case_name << ": loss differs";
+  ASSERT_EQ(a.outputs.size(), b.outputs.size()) << case_name;
+  for (size_t i = 0; i < a.outputs.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(a.outputs[i], b.outputs[i]))
+        << case_name << ": output " << i << " differs";
+  }
   ASSERT_EQ(a.grads.size(), b.grads.size()) << case_name;
   for (size_t i = 0; i < a.grads.size(); ++i) {
     EXPECT_TRUE(BitwiseEqual(a.grads[i], b.grads[i]))
@@ -155,6 +165,20 @@ std::vector<Case> AllCases() {
   cases.push_back({"pairwise_distances", [] {
     Tensor x = Rand({40, 64}, 16);
     return Built{{x}, Sum(PairwiseSquaredDistances(x))};
+  }});
+
+  cases.push_back({"frozen_encode", [] {
+    // Non-differentiable: the trainable scale's gradient carries the
+    // encoder output's bits into the consistency check.
+    Tensor table = Rand({30, 40}, 40, /*requires_grad=*/false);
+    Tensor mix_w = Rand({80, 40}, 41, /*requires_grad=*/false);
+    Tensor mix_b = Rand({40}, 42, /*requires_grad=*/false);
+    Rng id_rng(43);
+    std::vector<int> ids(3 * 7);
+    for (auto& id : ids) id = static_cast<int>(id_rng.UniformInt(30));
+    Tensor h = FrozenEncode(table, mix_w, mix_b, ids, 3, 7);
+    Tensor scale = Rand({3, 7, 40}, 44);
+    return Built{{scale}, Sum(Mul(h, scale)), {h}};
   }});
 
   cases.push_back({"losses", [] {
@@ -253,7 +277,7 @@ TEST_F(BackendConsistencyTest, BitwiseIdenticalAcrossThreadCounts) {
     for (int threads : {2, 3, 8}) {
       SetNumThreads(threads);
       const CaseResult parallel = RunCase(c);
-      SCOPED_TRACE(std::string(c.name) + " threads=" +
+      SCOPED_TRACE(c.name + " threads=" +
                    std::to_string(threads));
       ExpectBitwiseEqual(serial, parallel, c.name);
     }
@@ -277,11 +301,141 @@ TEST_F(BackendConsistencyTest, ScalarAndSimdPathsBitwiseIdentical) {
       SetNumThreads(threads);
       ScopedSimd simd(true);
       const CaseResult vec = RunCase(c);
-      SCOPED_TRACE(std::string(c.name) + " simd threads=" +
+      SCOPED_TRACE(c.name + " simd threads=" +
                    std::to_string(threads));
       ExpectBitwiseEqual(scalar, vec, c.name);
     }
   }
+}
+
+// ----- Shape sweep: every row-in-registers kernel against its scalar
+// oracle -----
+//
+// Table-driven, one case per shape: the scalar oracle (SIMD off, one
+// thread) against the AVX-512 path at KernelPool 1/2/4/8, bitwise on the
+// op's output and on every leaf gradient. The shapes cover every
+// register count and lane tail the kernels can pick; upstream gradients
+// hold exact zeros (+0 and -0) so the zero skips run.
+
+// Normal values with every third entry an exact zero, alternating +0 and
+// -0. Not differentiable: it is the upstream gradient of the op under test.
+Tensor UpstreamWithZeros(const Shape& shape, uint64_t seed) {
+  std::vector<float> v = Rand(shape, seed, /*requires_grad=*/false).ToVector();
+  for (size_t i = 0; i < v.size(); i += 3) v[i] = (i / 3) % 2 ? -0.0f : 0.0f;
+  return Tensor::FromData(shape, std::move(v));
+}
+
+std::vector<Case> ConvSweepCases() {
+  std::vector<Case> cases;
+  for (int fused = 0; fused < 2; ++fused) {
+    for (int64_t c = 1; c <= 33; ++c) {
+      for (int64_t k = 1; k <= 5; ++k) {
+        for (int64_t e : {1, 8, 12, 16, 17, 32}) {
+          for (int64_t b = 1; b <= 3; ++b) {
+            const std::string name =
+                std::string(fused ? "Conv1dSeqRelu" : "Conv1dSeq") +
+                " C=" + std::to_string(c) + " k=" + std::to_string(k) +
+                " E=" + std::to_string(e) + " B=" + std::to_string(b);
+            const uint64_t seed = static_cast<uint64_t>(
+                (((fused * 40 + c) * 8 + k) * 40 + e) * 4 + b);
+            cases.push_back({name, [=] {
+              const int64_t t = k + 2;
+              Tensor x = Rand({b, t, e}, seed);
+              Tensor w = Rand({c, k * e}, seed + 1);
+              Tensor bias = Rand({c}, seed + 2);
+              Tensor y = fused ? Conv1dSeqRelu(x, w, bias, k)
+                               : Conv1dSeq(x, w, bias, k);
+              Tensor up = UpstreamWithZeros(y.shape(), seed + 3);
+              return Built{{x, w, bias}, Sum(Mul(y, up)), {y}};
+            }});
+          }
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+std::vector<Case> PairwiseSweepCases() {
+  std::vector<Case> cases;
+  for (int64_t b = 1; b <= 40; ++b) {
+    for (int64_t n = 1; n <= 33; ++n) {
+      const std::string name = "PairwiseSquaredDistances B=" +
+                               std::to_string(b) + " N=" + std::to_string(n);
+      const uint64_t seed = static_cast<uint64_t>(b * 64 + n);
+      cases.push_back({name, [=] {
+        Tensor x = Rand({b, n}, seed);
+        Tensor d = PairwiseSquaredDistances(x);
+        // Zero on the symmetric pattern (i + j) % 3 == 0 as well, so that
+        // g[i,j] + g[j,i] == 0 and the gsum skip runs.
+        std::vector<float> up = UpstreamWithZeros({b, b}, seed + 1).ToVector();
+        for (int64_t i = 0; i < b; ++i) {
+          for (int64_t j = 0; j < b; ++j) {
+            if ((i + j) % 3 == 0) up[i * b + j] = 0.0f;
+          }
+        }
+        Tensor g = Tensor::FromData({b, b}, std::move(up));
+        return Built{{x}, Sum(Mul(d, g)), {d}};
+      }});
+    }
+  }
+  return cases;
+}
+
+std::vector<Case> FrozenEncodeSweepCases() {
+  std::vector<Case> cases;
+  for (int64_t d = 1; d <= 33; ++d) {
+    for (int64_t t = 1; t <= 5; ++t) {
+      const std::string name =
+          "FrozenEncode D=" + std::to_string(d) + " T=" + std::to_string(t);
+      const uint64_t seed = static_cast<uint64_t>(d * 8 + t);
+      cases.push_back({name, [=] {
+        Tensor table = Rand({11, d}, seed, /*requires_grad=*/false);
+        Tensor mix_w = Rand({2 * d, d}, seed + 1, /*requires_grad=*/false);
+        Tensor mix_b = Rand({d}, seed + 2, /*requires_grad=*/false);
+        std::vector<int> ids(static_cast<size_t>(2 * t));
+        for (size_t i = 0; i < ids.size(); ++i) {
+          ids[i] = static_cast<int>((i * 5 + static_cast<size_t>(d)) % 11);
+        }
+        Tensor h = FrozenEncode(table, mix_w, mix_b, ids, 2, t);
+        Tensor scale = Rand({2, t, d}, seed + 3);
+        return Built{{scale}, Sum(Mul(h, scale)), {h}};
+      }});
+    }
+  }
+  return cases;
+}
+
+void ExpectSweepMatchesScalarOracle(const std::vector<Case>& cases) {
+  KernelPool pool1(1), pool2(2), pool4(4), pool8(8);
+  for (const Case& c : cases) {
+    CaseResult scalar;
+    {
+      ScopedKernelPool scope(&pool1);
+      ScopedSimd simd(false);
+      scalar = RunCase(c);
+    }
+    for (const KernelPool* pool : {&pool1, &pool2, &pool4, &pool8}) {
+      ScopedKernelPool scope(pool);
+      ScopedSimd simd(true);
+      const CaseResult vec = RunCase(c);
+      SCOPED_TRACE(c.name +
+                   " pool=" + std::to_string(pool->nthreads()));
+      ExpectBitwiseEqual(scalar, vec, c.name);
+    }
+  }
+}
+
+TEST_F(BackendConsistencyTest, ConvBackwardSweepMatchesScalarOracle) {
+  ExpectSweepMatchesScalarOracle(ConvSweepCases());
+}
+
+TEST_F(BackendConsistencyTest, PairwiseDistancesSweepMatchesScalarOracle) {
+  ExpectSweepMatchesScalarOracle(PairwiseSweepCases());
+}
+
+TEST_F(BackendConsistencyTest, FrozenEncodeSweepMatchesScalarOracle) {
+  ExpectSweepMatchesScalarOracle(FrozenEncodeSweepCases());
 }
 
 TEST_F(BackendConsistencyTest, RepeatedParallelRunsAreIdentical) {

@@ -1,3 +1,7 @@
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "text/features.h"
@@ -161,6 +165,37 @@ TEST(FrozenEncoderTest, ContextSensitivity) {
     diff += std::abs(a.at(8 + j) - b.at(8 + j));  // middle token features
   }
   EXPECT_GT(diff, 1e-4f);
+}
+
+// FNV-1a (64-bit) over the output's float bit patterns, byte-wise.
+uint64_t OutputBitsHash(const tensor::Tensor& t) {
+  uint64_t h = 1469598103934665603ULL;
+  for (float v : t.data()) {
+    uint32_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int i = 0; i < 4; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+// Golden encoder output: recorded on the scalar encoder before the mix
+// gained a vector path. Any change that moves one output bit, with SIMD on
+// or with DTDBD_NO_SIMD=1, changes these hashes.
+TEST(FrozenEncoderTest, GoldenOutputHash) {
+  Vocab vocab(SmallConfig());
+  std::vector<int> ids(4 * 9);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<int>((i * 7 + 3) % static_cast<size_t>(vocab.size()));
+  }
+  FrozenEncoder wide(vocab.size(), 32, 2024);
+  FrozenEncoder narrow(vocab.size(), 8, 2024);
+  EXPECT_EQ(OutputBitsHash(wide.Encode(ids, 4, 9)), 0xffa83f46016a0fcfULL);
+  EXPECT_EQ(OutputBitsHash(narrow.Encode(ids, 4, 9)), 0x7dacd0a9ab7f1c13ULL);
+  // Length-1 sequences have no neighbours (count == 0 path).
+  EXPECT_EQ(OutputBitsHash(wide.Encode({1, 2, 3}, 3, 1)), 0xfab0e89e8131991aULL);
 }
 
 }  // namespace
