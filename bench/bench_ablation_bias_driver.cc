@@ -13,6 +13,7 @@
 #include "common/table.h"
 #include "data/generator.h"
 #include "dtdbd/trainer.h"
+#include "harness.h"
 #include "models/model.h"
 #include "text/frozen_encoder.h"
 
@@ -42,7 +43,9 @@ int main(int argc, char** argv) {
     auto model = models::CreateModel("TextCNN-S", config);
     TrainOptions options;
     options.epochs = epochs;
-    TrainSupervised(model.get(), splits.train, nullptr, options);
+    bench::ExitIfTrainingFailed(
+        TrainSupervised(model.get(), splits.train, nullptr, options).status,
+        "TextCNN-S");
     auto report = EvaluateModel(model.get(), splits.test);
     table.AddRow({TablePrinter::Fmt(ambiguous, 2),
                   TablePrinter::Fmt(report.f1),

@@ -1,6 +1,7 @@
 #include "harness.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/table.h"
 #include "common/thread_pool.h"
@@ -57,7 +58,9 @@ std::unique_ptr<models::FakeNewsModel> Workbench::TrainBaseline(
   if (name == "EANN" || name == "EDDFN") {
     options.domain_loss_weight = profile_.eann_alpha;
   }
-  TrainSupervised(model.get(), splits_.train, nullptr, options);
+  ExitIfTrainingFailed(
+      TrainSupervised(model.get(), splits_.train, nullptr, options).status,
+      name);
   if (test_report != nullptr) {
     *test_report = EvaluateModel(model.get(), splits_.test);
   }
@@ -101,8 +104,10 @@ std::unique_ptr<models::FakeNewsModel> Workbench::RunDtdbd(
   options.lr = profile_.lr;
   options.seed = profile_.seed + 300;
   options.verbose = profile_.verbose;
-  TrainDtdbd(student.get(), unbiased, clean, splits_.train, splits_.val,
-             options);
+  ExitIfTrainingFailed(TrainDtdbd(student.get(), unbiased, clean,
+                                  splits_.train, splits_.val, options)
+                           .status,
+                       "DTDBD " + student_arch);
   if (test_report != nullptr) {
     *test_report = EvaluateModel(student.get(), splits_.test);
   }
@@ -118,6 +123,13 @@ std::unique_ptr<Workbench> MakeEnglishBench(const Profile& profile) {
   // The English corpus is 3x the Chinese one; scale to a comparable size.
   english.scale = profile.scale * 0.45;
   return std::make_unique<Workbench>(data::EnglishConfig(1.0, 0), english);
+}
+
+void ExitIfTrainingFailed(const Status& status, const std::string& what) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "training %s failed: %s\n", what.c_str(),
+               status.ToString().c_str());
+  std::exit(1);
 }
 
 std::vector<std::string> ReportRow(const std::string& name,

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "common/status.h"
 #include "data/dataset.h"
 #include "data/generator.h"
 #include "dtdbd/dat.h"
@@ -90,6 +91,11 @@ class Workbench {
 
 std::unique_ptr<Workbench> MakeChineseBench(const Profile& profile);
 std::unique_ptr<Workbench> MakeEnglishBench(const Profile& profile);
+
+// Prints `status` and exits 1 if a training run failed (a resume error, or
+// the guard gave up on a diverged run), so no table row is ever printed
+// from a half-trained model.
+void ExitIfTrainingFailed(const Status& status, const std::string& what);
 
 // Formats an EvalReport row: per-domain F1 columns + overall
 // F1/FNED/FPED/Total (the layout of paper Tables VI/VII).

@@ -61,35 +61,26 @@
 #include <thread>
 #include <vector>
 
-#include "common/flags.h"
 #include "common/status.h"
 #include "net/protocol.h"
 #include "serve/server.h"
 
 namespace dtdbd::net {
 
-// Knob rows (common/flags.h) for the socket flags. The --port row starts at
-// 1 because its fallback, 0, already names "ephemeral"; a value past 65535
-// is invalid rather than truncated to a different port.
-inline constexpr Knob kPortKnob{"port", nullptr, 1, 65535, 0};
-inline constexpr Knob kMaxConnsKnob{"max-conns", nullptr, 1, kIntKnobMax, 64};
-inline constexpr Knob kIdleTimeoutMsKnob{"idle-timeout-ms", nullptr, 1,
-                                         kIntKnobMax, 5'000};
-
 struct SocketServerOptions {
   std::string bind_address = "127.0.0.1";
   // 0 = bind an ephemeral port; the chosen port is available via port().
   // Start() rejects a value outside [0, 65535] with kInvalidArgument.
-  int port = static_cast<int>(kPortKnob.fallback);
+  int port = 0;
   // Connections past this limit are answered one UNAVAILABLE frame and
   // closed at accept.
-  int max_connections = static_cast<int>(kMaxConnsKnob.fallback);
+  int max_connections = 64;
   // Requests on one connection past this limit (submitted, not yet
   // answered) get RETRY_LATER instead of entering the queue.
   int max_inflight_per_connection = 32;
   // A connection with no byte progress and nothing in flight for this long
   // is closed (slow-loris / abandoned peers).
-  int64_t idle_timeout_ms = kIdleTimeoutMsKnob.fallback;
+  int64_t idle_timeout_ms = 5'000;
   // Stop(): how long to wait for in-flight requests to finish and responses
   // to flush before force-closing survivors.
   int64_t drain_timeout_ms = 5'000;

@@ -151,7 +151,6 @@ class ManualClock : public Clock {
 // cache rather than conjuring one of surprise size.
 inline constexpr Knob kServeWorkersKnob{"serve-workers", "DTDBD_SERVE_WORKERS",
                                         1, kIntKnobMax, 1};
-inline constexpr Knob kMaxBatchKnob{"max-batch", nullptr, 1, kIntKnobMax, 1};
 inline constexpr Knob kCacheBytesKnob{"cache-bytes", "DTDBD_CACHE_BYTES", 0,
                                       std::numeric_limits<int64_t>::max(), 0};
 inline constexpr Knob kFeedbackRingKnob{"feedback-ring", nullptr, 1,
@@ -165,7 +164,7 @@ struct ServerOptions {
   int num_workers = 0;
   // Max inference requests coalesced into one forward (>= 1). 1 disables
   // batching.
-  int max_batch = static_cast<int>(kMaxBatchKnob.fallback);
+  int max_batch = 1;
   // Admission control: max requests waiting (excludes those being served
   // and control jobs). Shared across all models in the fleet.
   int64_t max_queue_depth = 64;

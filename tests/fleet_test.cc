@@ -737,15 +737,19 @@ TEST_F(FleetTest, WatchdogSurvivesModelsRegisteredMidWindow) {
 // ----- Socket-path fleet routing -----
 
 TEST_F(FleetTest, SocketRoutesNamedModelsAcrossProtocolVersions) {
+  const std::string shadow_path =
+      WriteCheckpoint(11, "fleet_socket_shadow.ckpt");
   ServerOptions options = BaseOptions();
   options.num_workers = 2;
   Server server(MakeSession(3), options);
   ASSERT_TRUE(server.AddModel("b", MakeSession(5), Factory(5)).ok());
+  ASSERT_TRUE(server.AddModel("c", MakeSession(7), Factory(7)).ok());
 
   net::SocketServer net(&server, net::SocketServerOptions{});
   ASSERT_TRUE(net.Start().ok());
   auto ref_default = MakeSession(3);
   auto ref_b = MakeSession(5);
+  auto ref_c = MakeSession(7);
 
   net::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", net.port()).ok());
@@ -767,12 +771,16 @@ TEST_F(FleetTest, SocketRoutesNamedModelsAcrossProtocolVersions) {
     EXPECT_EQ(response.code, net::WireCode::kNotFound);
   }
 
-  // A v1 client on the same server cannot name a model and lands on the
-  // default — the pre-fleet wire contract, bit for bit.
+  // Shadow-score the default model from here on. A v1 client on the same
+  // server cannot name a model and lands on the default — the pre-fleet
+  // wire contract, bit for bit, shadow or not — while v2 traffic to "c"
+  // interleaves and must not reach the default model's shadow.
+  ASSERT_TRUE(server.StartShadow("", shadow_path).get().ok());
   net::Client v1;
   v1.set_protocol_version(net::kMinProtocolVersion);
   ASSERT_TRUE(v1.Connect("127.0.0.1", net.port()).ok());
-  for (size_t i = 0; i < 16; ++i) {
+  constexpr int64_t kDefaultRequests = 16;
+  for (int64_t i = 0; i < kDefaultRequests; ++i) {
     InferenceRequest request = RequestFor(dataset_.samples[i]);
     request.model_name = "b";  // v1 encoding cannot carry this; it drops
     net::WireResponse response;
@@ -781,6 +789,12 @@ TEST_F(FleetTest, SocketRoutesNamedModelsAcrossProtocolVersions) {
     EXPECT_TRUE(BitwiseEqual(response.prediction,
                              ref_default->Predict(request).value()));
     EXPECT_TRUE(response.prediction.model_name.empty());
+
+    request.model_name = "c";
+    ASSERT_TRUE(client.Call(100 + i, 0, request, &response).ok());
+    ASSERT_EQ(response.code, net::WireCode::kOk);
+    EXPECT_TRUE(
+        BitwiseEqual(response.prediction, ref_c->Predict(request).value()));
   }
   const net::NetStats stats = net.Stats();
   EXPECT_EQ(stats.bad_frames, 0);
@@ -789,6 +803,13 @@ TEST_F(FleetTest, SocketRoutesNamedModelsAcrossProtocolVersions) {
   client.Close();
   net.Stop();
   server.Stop();
+  // Drained: every shadow forward has merged its delta.
+  const HealthReport health = server.Health();
+  ASSERT_EQ(health.models.size(), 3u);
+  EXPECT_TRUE(health.models[0].shadow.active);
+  EXPECT_EQ(health.models[0].shadow.scored, kDefaultRequests);
+  EXPECT_EQ(health.models[0].shadow.shadow_errors, 0);
+  EXPECT_EQ(health.models[2].shadow.scored, 0);
 }
 
 }  // namespace

