@@ -83,8 +83,10 @@ std::unique_ptr<DatWrapper> Workbench::TrainUnbiasedTeacher(
   options.train.verbose = profile_.verbose;
   options.alpha = profile_.dat_alpha;
   options.beta_ratio = beta_ratio;
-  auto teacher = dtdbd::TrainUnbiasedTeacher(student_arch, config,
-                                             splits_.train, nullptr, options);
+  TrainResult trained;
+  auto teacher = dtdbd::TrainUnbiasedTeacher(
+      student_arch, config, splits_.train, nullptr, options, &trained);
+  ExitIfTrainingFailed(trained.status, "DAT-IE teacher " + student_arch);
   if (test_report != nullptr) {
     *test_report = EvaluateModel(teacher.get(), splits_.test);
   }

@@ -213,12 +213,29 @@ ScopedKernelPool::~ScopedKernelPool() { t_ambient_pool = previous_; }
 
 const KernelPool* CurrentKernelPool() { return t_ambient_pool; }
 
+namespace {
+
+// Shards ParallelFor cuts [0, n) into at `threads` threads: one (inline)
+// when a single thread, a nested call or one grain covers the range.
+int ShardCount(int64_t n, int64_t grain, int threads) {
+  grain = std::max<int64_t>(grain, 1);
+  if (threads == 1 || t_in_parallel_region || n <= grain) return 1;
+  return static_cast<int>(std::min<int64_t>(threads, (n + grain - 1) / grain));
+}
+
+}  // namespace
+
+int ParallelForShards(int64_t n, int64_t grain) {
+  const KernelPool* ambient = t_ambient_pool;
+  return ShardCount(n, grain,
+                    ambient != nullptr ? ambient->nthreads() : GetNumThreads());
+}
+
 namespace internal {
 
 void ParallelForImpl(int64_t n, int64_t grain, void* ctx,
                      void (*fn)(void* ctx, int64_t begin, int64_t end)) {
   if (n <= 0) return;
-  if (grain < 1) grain = 1;
   const KernelPool* ambient = t_ambient_pool;
   int threads;
   PoolImpl* pool;
@@ -230,13 +247,7 @@ void ParallelForImpl(int64_t n, int64_t grain, void* ctx,
     threads = g_num_threads;
     pool = g_pool.get();
   }
-  if (threads == 1 || t_in_parallel_region || n <= grain) {
-    fn(ctx, 0, n);
-    return;
-  }
-  const int64_t max_shards = (n + grain - 1) / grain;
-  const int shards =
-      static_cast<int>(std::min<int64_t>(threads, max_shards));
+  const int shards = ShardCount(n, grain, threads);
   if (shards <= 1) {
     fn(ctx, 0, n);
     return;

@@ -99,6 +99,13 @@ class ScopedKernelPool {
 // process-wide pool (exposed for tests).
 const KernelPool* CurrentKernelPool();
 
+// The number of shards ParallelFor(n, grain, ...) on the calling thread
+// splits [0, n) into, 1 when it runs inline. Shard s covers
+// [n * s / shards, n * (s + 1) / shards), so none is longer than
+// ceil(n / shards): a kernel can size per-call set-up to what its shards
+// will do.
+int ParallelForShards(int64_t n, int64_t grain);
+
 namespace internal {
 // Type-erased core; `fn(ctx, begin, end)` is invoked once per shard.
 void ParallelForImpl(int64_t n, int64_t grain, void* ctx,

@@ -1,5 +1,7 @@
 #include "dtdbd/dat.h"
 
+#include <utility>
+
 #include "tensor/ops.h"
 
 namespace dtdbd {
@@ -31,13 +33,15 @@ models::ModelOutput DatWrapper::Forward(const data::Batch& batch,
 std::unique_ptr<DatWrapper> TrainUnbiasedTeacher(
     const std::string& arch_name, const models::ModelConfig& config,
     const data::NewsDataset& train, const data::NewsDataset* val,
-    const DatIeOptions& options) {
+    const DatIeOptions& options, TrainResult* result) {
   auto wrapper = std::make_unique<DatWrapper>(
       models::CreateModel(arch_name, config), config);
   TrainOptions train_options = options.train;
   train_options.domain_loss_weight = options.alpha;
   train_options.entropy_loss_weight = options.beta_ratio * options.alpha;
-  TrainSupervised(wrapper.get(), train, val, train_options);
+  TrainResult trained = TrainSupervised(wrapper.get(), train, val,
+                                        train_options);
+  if (result != nullptr) *result = std::move(trained);
   return wrapper;
 }
 

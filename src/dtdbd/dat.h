@@ -62,11 +62,14 @@ struct DatIeOptions {
 
 // Builds a DatWrapper around a freshly created `arch_name` model and trains
 // it with the DAT-IE objective. The returned model is ready to serve as
-// DTDBD's unbiased teacher (caller should Freeze() it before distillation).
+// DTDBD's unbiased teacher (caller should Freeze() it before distillation)
+// only if training succeeded: when `result` is non-null it receives the
+// TrainResult, whose status is non-ok when resume failed or the guard gave
+// up, and a caller that distils from the teacher must check it.
 std::unique_ptr<DatWrapper> TrainUnbiasedTeacher(
     const std::string& arch_name, const models::ModelConfig& config,
     const data::NewsDataset& train, const data::NewsDataset* val,
-    const DatIeOptions& options);
+    const DatIeOptions& options, TrainResult* result = nullptr);
 
 }  // namespace dtdbd
 

@@ -2127,142 +2127,205 @@ Tensor FrozenEncode(const Tensor& table_in, const Tensor& mix_w_in,
 
 namespace {
 
-// ----- Row-blocked conv execution (shared by Conv1dSeq / Conv1dSeqRelu) --
+// ----- Conv forward (shared by Conv1dSeq / Conv1dSeqRelu) -----
 //
-// The conv hot loop is a length-`win` dot product per (row, channel): one
-// scalar accumulator chain, latency-bound on the FP add. Batched serving
-// hands the kernel many independent output rows, so the fast path computes
-// 16 rows at once — one vector lane per row, each lane performing exactly
-// the scalar chain's multiply/add sequence in the same j order. Per-lane
-// mulps/addps round identically to mulss/addss, so every output element is
-// bitwise identical to the scalar path (and therefore batch-of-N stays
-// bitwise identical to batch-of-one, at any thread count: shard boundaries
-// only change block membership, never an element's accumulation order).
-// Sub-block tails — in particular batch-of-one forwards, whose row count
-// is below the block size — and machines without AVX-512 take the
-// reference scalar loop. The vector path must NOT be contracted into FMA
-// (fused rounding would diverge from the scalar chain); this file is built
-// with -ffp-contract=off, a no-op for the baseline scalar ISA.
+// Each output element (r, ci) is a length-`win` dot product of output row
+// r's input window with weight row ci, started from the bias:
+// acc = bias[ci]; acc += window[j] * w[ci, j] for ascending j. The scalar
+// loop is the reference. The vector path puts channels in the lanes: it
+// reads the weight transposed to [win, C] (built once per call, shared by
+// every shard), so for each j one load fetches 16 channels' weights and a
+// broadcast of window[j] feeds them. Each lane runs the scalar chain
+// exactly — separate mul and add in the same j order, never fmadd (this
+// file is built with -ffp-contract=off) — so every output element is
+// bitwise equal to the scalar path, and batch-of-N stays bitwise equal to
+// batch-of-one at any thread count: shard boundaries only decide which
+// path computes an element, never its accumulation order. Shards of fewer
+// than 16 rows (batch-of-one forwards at the default thread count) and
+// machines without AVX-512 run the scalar loop.
 
-// Reference path: rows [s, e2) of the [b*to, c] output, one scalar chain
-// per element. pmask != nullptr selects the fused ReLU variant (mask of
-// positive pre-activations, clamped output).
-inline void ConvRowsScalar(const float* px, const float* pw,
-                           const float* pbias, float* po, float* pmask,
-                           int64_t t, int64_t e, int64_t to, int64_t c,
-                           int64_t win, int64_t s, int64_t e2) {
+// Everything a conv shard reads and writes. `wt` is the weight transposed
+// to [win, c], or null when no shard takes the vector path; `pmask` is
+// null for the plain conv and selects the fused ReLU (mask of positive
+// pre-activations, clamped output) otherwise.
+struct ConvRowsArgs {
+  const float* px;
+  const float* pw;
+  const float* wt;
+  const float* pbias;
+  float* po;
+  float* pmask;
+  int64_t t, e, to, c, win;
+
+  // Output row r's input window x[r / to, r % to : r % to + k, :],
+  // contiguous of length win.
+  const float* Window(int64_t r) const {
+    return px + ((r / to) * t + r % to) * e;
+  }
+};
+
+// Reference path: rows [s, e2), one scalar chain per element.
+void ConvRowsScalar(const ConvRowsArgs& a, int64_t s, int64_t e2) {
   for (int64_t r = s; r < e2; ++r) {
-    const int64_t bi = r / to, o = r % to;
-    // The window x[bi, o:o+k, :] is contiguous of length k*E.
-    const float* window = px + (bi * t + o) * e;
-    float* orow = po + r * c;
-    for (int64_t ci = 0; ci < c; ++ci) {
-      const float* wrow = pw + ci * win;
-      float acc = pbias[ci];
-      for (int64_t j = 0; j < win; ++j) acc += window[j] * wrow[j];
-      if (pmask != nullptr) {
+    const float* window = a.Window(r);
+    for (int64_t ci = 0; ci < a.c; ++ci) {
+      const float* wrow = a.pw + ci * a.win;
+      float acc = a.pbias[ci];
+      for (int64_t j = 0; j < a.win; ++j) acc += window[j] * wrow[j];
+      const int64_t i = r * a.c + ci;
+      if (a.pmask != nullptr) {
         const bool on = acc > 0.0f;
-        pmask[r * c + ci] = on ? 1.0f : 0.0f;
-        orow[ci] = on ? acc : 0.0f;
+        a.pmask[i] = on ? 1.0f : 0.0f;
+        a.po[i] = on ? acc : 0.0f;
       } else {
-        orow[ci] = acc;
+        a.po[i] = acc;
       }
     }
   }
 }
 
 #ifdef DTDBD_SIMD_AVX512
-// One block of 16 rows, all channels. `scratch` is [win, 16] (the 16
-// windows transposed so each j reads one contiguous vector of row values),
-// `out16` is [c, 16] of raw pre-activations.
-__attribute__((target("avx512f"))) void ConvBlock16Avx512(
-    const float* const* wins, const float* pw, const float* pbias, int64_t c,
-    int64_t win, float* scratch, float* out16) {
-  for (int64_t j = 0; j < win; ++j) {
-    float* srow = scratch + j * 16;
-    for (int rr = 0; rr < 16; ++rr) srow[rr] = wins[rr][j];
-  }
-  for (int64_t ci = 0; ci < c; ++ci) {
-    __m512 acc = _mm512_set1_ps(pbias[ci]);
-    const float* wrow = pw + ci * win;
-    for (int64_t j = 0; j < win; ++j) {
-      // Separate mul/add, never fmadd: each lane must round exactly like
-      // the scalar chain.
-      acc = _mm512_add_ps(
-          acc, _mm512_mul_ps(_mm512_loadu_ps(scratch + j * 16),
-                             _mm512_set1_ps(wrow[j])));
-    }
-    _mm512_storeu_ps(out16 + ci * 16, acc);
-  }
-}
-#endif  // x86_64
+// Rows [s, e2) x channels [c0, c0 + len), len <= 16 * NV, in groups of
+// kRows rows: kRows * NV = 8 accumulator chains in flight, and each j
+// loads one weight vector per 16 channels for all of the group's rows.
+// The last group is shifted back to end at e2 and recomputes rows the
+// previous group already wrote, with the same bits, so the shard needs no
+// row tail (the caller guarantees e2 - s >= kRows). Lanes past `len` are
+// masked.
+template <int NV>
+struct ConvSliceAvx512 {
+  static constexpr int kRows = 8 / NV;
 
-// Shard body for both conv ops: vector blocks while 16 rows remain, scalar
-// reference loop for the tail.
-void ConvRows(const float* px, const float* pw, const float* pbias, float* po,
-              float* pmask, int64_t t, int64_t e, int64_t to, int64_t c,
-              int64_t win, int64_t s, int64_t e2) {
-  int64_t r = s;
-#ifdef DTDBD_SIMD_AVX512
-  if (UseAvx512() && e2 - r >= 16) {
-    std::vector<float> scratch(static_cast<size_t>(win) * 16);
-    std::vector<float> out16(static_cast<size_t>(c) * 16);
-    for (; r + 16 <= e2; r += 16) {
-      const float* wins[16];
-      for (int rr = 0; rr < 16; ++rr) {
-        const int64_t rw = r + rr;
-        wins[rr] = px + ((rw / to) * t + rw % to) * e;
+  __attribute__((target("avx512f"))) static void Run(const ConvRowsArgs& a,
+                                                     int64_t c0, int64_t len,
+                                                     int64_t s, int64_t e2) {
+    const __m512 zero = _mm512_setzero_ps();
+    const __m512 one = _mm512_set1_ps(1.0f);
+    __mmask16 m[NV];
+    __m512 bias[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      m[v] = LaneMask(len - 16 * v);
+      bias[v] = _mm512_maskz_loadu_ps(m[v], a.pbias + c0 + 16 * v);
+    }
+    for (int64_t g = s; g < e2; g += kRows) {
+      const int64_t r0 = std::min(g, e2 - kRows);
+      const float* x[kRows];
+      __m512 acc[kRows][NV];
+#pragma GCC unroll 8
+      for (int i = 0; i < kRows; ++i) {
+        x[i] = a.Window(r0 + i);
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) acc[i][v] = bias[v];
       }
-      ConvBlock16Avx512(wins, pw, pbias, c, win, scratch.data(),
-                        out16.data());
-      for (int rr = 0; rr < 16; ++rr) {
-        float* orow = po + (r + rr) * c;
-        for (int64_t ci = 0; ci < c; ++ci) {
-          const float acc = out16[ci * 16 + rr];
-          if (pmask != nullptr) {
-            const bool on = acc > 0.0f;
-            pmask[(r + rr) * c + ci] = on ? 1.0f : 0.0f;
-            orow[ci] = on ? acc : 0.0f;
-          } else {
-            orow[ci] = acc;
+      for (int64_t j = 0; j < a.win; ++j) {
+        const float* wj = a.wt + j * a.c + c0;
+        __m512 w[NV];
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+          w[v] = _mm512_maskz_loadu_ps(m[v], wj + 16 * v);
+        }
+#pragma GCC unroll 8
+        for (int i = 0; i < kRows; ++i) {
+          const __m512 xv = _mm512_set1_ps(x[i][j]);
+#pragma GCC unroll 2
+          for (int v = 0; v < NV; ++v) {
+            acc[i][v] = _mm512_add_ps(acc[i][v], _mm512_mul_ps(xv, w[v]));
           }
+        }
+      }
+#pragma GCC unroll 8
+      for (int i = 0; i < kRows; ++i) {
+        const int64_t off = (r0 + i) * a.c + c0;
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+          __m512 out = acc[i][v];
+          if (a.pmask != nullptr) {
+            // _CMP_GT_OQ is the scalar `acc > 0.0f`: false for ±0 and NaN.
+            const __mmask16 on = _mm512_cmp_ps_mask(out, zero, _CMP_GT_OQ);
+            _mm512_mask_storeu_ps(a.pmask + off + 16 * v, m[v],
+                                  _mm512_mask_blend_ps(on, zero, one));
+            out = _mm512_mask_blend_ps(on, zero, out);
+          }
+          _mm512_mask_storeu_ps(a.po + off + 16 * v, m[v], out);
         }
       }
     }
   }
+};
+#endif  // x86_64
+
+// Shard body for both conv ops: the channels-in-lanes path for a shard of
+// >= 16 rows when `wt` is built, the scalar reference loop otherwise.
+void ConvRows(const ConvRowsArgs& a, int64_t s, int64_t e2) {
+#ifdef DTDBD_SIMD_AVX512
+  if (a.wt != nullptr && e2 - s >= 16) {
+    // Slices of at most 32 channels: 4 rows x 2 vectors, or 8 rows x 1.
+    for (int64_t c0 = 0; c0 < a.c; c0 += 32) {
+      const int64_t len = std::min<int64_t>(32, a.c - c0);
+      if (len > 16) {
+        ConvSliceAvx512<2>::Run(a, c0, len, s, e2);
+      } else {
+        ConvSliceAvx512<1>::Run(a, c0, len, s, e2);
+      }
+    }
+    return;
+  }
 #endif
-  ConvRowsScalar(px, pw, pbias, po, pmask, t, e, to, c, win, r, e2);
+  ConvRowsScalar(a, s, e2);
+}
+
+// Checks the conv operands and returns the output shape {b, to, c}.
+Shape ConvShape(const char* op, const Tensor& x, const Tensor& weight,
+                const Tensor& bias, int64_t kernel_width) {
+  DTDBD_CHECK_EQ(x.ndim(), 3);
+  DTDBD_CHECK_EQ(weight.ndim(), 2);
+  DTDBD_CHECK_EQ(bias.ndim(), 1);
+  const int64_t t = x.dim(1), c = weight.dim(0);
+  DTDBD_CHECK_EQ(weight.dim(1), kernel_width * x.dim(2))
+      << op << ": weight must be [C, k*E]";
+  DTDBD_CHECK_EQ(bias.dim(0), c);
+  DTDBD_CHECK_GE(t, kernel_width) << op << ": sequence shorter than kernel";
+  return {x.dim(0), t - kernel_width + 1, c};
+}
+
+// Fills po (and pmask, when non-null) with the conv of the contiguous
+// operands, sharded over output rows.
+void ConvForward(const Tensor& x, const Tensor& weight, const Tensor& bias,
+                 int64_t kernel_width, float* po, float* pmask) {
+  const int64_t b = x.dim(0), t = x.dim(1), e = x.dim(2);
+  const int64_t c = weight.dim(0), win = kernel_width * e;
+  const int64_t to = t - kernel_width + 1, rows = b * to;
+  const int64_t grain = GrainForRows(c * win);
+  ConvRowsArgs a{x.data().data(), weight.data().data(), nullptr,
+                 bias.data().data(), po, pmask, t, e, to, c, win};
+  // The transposed weight is built only when the longest shard,
+  // ceil(rows / shards), takes the vector path.
+  std::vector<float> wt;
+  const int64_t shards = ParallelForShards(rows, grain);
+  if (UseAvx512() && (rows + shards - 1) / shards >= 16) {
+    wt.resize(static_cast<size_t>(win * c));
+    for (int64_t ci = 0; ci < c; ++ci) {
+      for (int64_t j = 0; j < win; ++j) wt[j * c + ci] = a.pw[ci * win + j];
+    }
+    a.wt = wt.data();
+  }
+  ParallelFor(rows, grain, [&](int64_t s, int64_t e2) { ConvRows(a, s, e2); });
 }
 
 }  // namespace
 
 Tensor Conv1dSeq(const Tensor& x_in, const Tensor& weight_in,
                  const Tensor& bias_in, int64_t kernel_width) {
-  DTDBD_CHECK_EQ(x_in.ndim(), 3);
-  DTDBD_CHECK_EQ(weight_in.ndim(), 2);
-  DTDBD_CHECK_EQ(bias_in.ndim(), 1);
+  const Shape shape =
+      ConvShape("Conv1dSeq", x_in, weight_in, bias_in, kernel_width);
   Tensor x = Contiguous(x_in);
   Tensor weight = Contiguous(weight_in);
   Tensor bias = Contiguous(bias_in);
-  const int64_t b = x.dim(0), t = x.dim(1), e = x.dim(2);
-  const int64_t c = weight.dim(0);
-  DTDBD_CHECK_EQ(weight.dim(1), kernel_width * e)
-      << "Conv1dSeq: weight must be [C, k*E]";
-  DTDBD_CHECK_EQ(bias.dim(0), c);
-  DTDBD_CHECK_GE(t, kernel_width)
-      << "Conv1dSeq: sequence shorter than kernel";
-  const int64_t to = t - kernel_width + 1;
   ScopedOpTimer timer(kConv1dSeq);
-  std::vector<float> out(static_cast<size_t>(b * to * c));
-  const float* px = x.data().data();
-  const float* pw = weight.data().data();
-  const float* pbias = bias.data().data();
-  const int64_t win = kernel_width * e;
-  float* po = out.data();
-  ParallelFor(b * to, GrainForRows(c * win), [&](int64_t s, int64_t e2) {
-    ConvRows(px, pw, pbias, po, /*pmask=*/nullptr, t, e, to, c, win, s, e2);
-  });
-  return MakeOp(kConv1dSeq, {b, to, c}, std::move(out), {x, weight, bias});
+  std::vector<float> out(static_cast<size_t>(shape[0] * shape[1] * shape[2]));
+  ConvForward(x, weight, bias, kernel_width, out.data(), /*pmask=*/nullptr);
+  return MakeOp(kConv1dSeq, shape, std::move(out), {x, weight, bias});
 }
 
 Tensor LinearRelu(const Tensor& x_in, const Tensor& w_in,
@@ -2313,34 +2376,18 @@ Tensor LinearRelu(const Tensor& x_in, const Tensor& w_in,
 
 Tensor Conv1dSeqRelu(const Tensor& x_in, const Tensor& weight_in,
                      const Tensor& bias_in, int64_t kernel_width) {
-  DTDBD_CHECK_EQ(x_in.ndim(), 3);
-  DTDBD_CHECK_EQ(weight_in.ndim(), 2);
-  DTDBD_CHECK_EQ(bias_in.ndim(), 1);
+  const Shape shape =
+      ConvShape("Conv1dSeqRelu", x_in, weight_in, bias_in, kernel_width);
   Tensor x = Contiguous(x_in);
   Tensor weight = Contiguous(weight_in);
   Tensor bias = Contiguous(bias_in);
-  const int64_t b = x.dim(0), t = x.dim(1), e = x.dim(2);
-  const int64_t c = weight.dim(0);
-  DTDBD_CHECK_EQ(weight.dim(1), kernel_width * e)
-      << "Conv1dSeqRelu: weight must be [C, k*E]";
-  DTDBD_CHECK_EQ(bias.dim(0), c);
-  DTDBD_CHECK_GE(t, kernel_width)
-      << "Conv1dSeqRelu: sequence shorter than kernel";
-  const int64_t to = t - kernel_width + 1;
   ScopedOpTimer timer(kConv1dSeqRelu);
-  std::vector<float> out(static_cast<size_t>(b * to * c));
+  const size_t n = static_cast<size_t>(shape[0] * shape[1] * shape[2]);
+  std::vector<float> out(n);
   auto state = std::make_shared<Conv1dSeqReluState>();
-  state->mask.resize(static_cast<size_t>(b * to * c));
-  const float* px = x.data().data();
-  const float* pw = weight.data().data();
-  const float* pbias = bias.data().data();
-  const int64_t win = kernel_width * e;
-  float* po = out.data();
-  float* pmask = state->mask.data();
-  ParallelFor(b * to, GrainForRows(c * win), [&](int64_t s, int64_t e2) {
-    ConvRows(px, pw, pbias, po, pmask, t, e, to, c, win, s, e2);
-  });
-  return MakeOp(kConv1dSeqRelu, {b, to, c}, std::move(out), {x, weight, bias},
+  state->mask.resize(n);
+  ConvForward(x, weight, bias, kernel_width, out.data(), state->mask.data());
+  return MakeOp(kConv1dSeqRelu, shape, std::move(out), {x, weight, bias},
                 state);
 }
 

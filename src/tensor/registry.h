@@ -80,10 +80,10 @@ Tensor MakeView(const Op* op, Shape shape, Shape strides, int64_t offset,
 
 // ----- SIMD dispatch toggle -----
 
-// Runtime-dispatched vector fast paths (the AVX-512 row-blocked Conv1dSeq
-// forward, the conv backward, PairwiseSquaredDistances forward and
-// backward, FrozenEncode, plus the MatMul / LinearRelu / MatVecOverTime /
-// softmax-row / LayerNorm / EmbeddingGather paths) are enabled by default
+// Runtime-dispatched vector fast paths (the AVX-512 channels-in-lanes
+// Conv1dSeq forward, the conv backward, PairwiseSquaredDistances forward
+// and backward, FrozenEncode, plus the MatMul / LinearRelu / MatVecOverTime
+// / softmax-row / LayerNorm / EmbeddingGather paths) are enabled by default
 // and are bitwise identical to their scalar reference loops, so callers
 // never branch.
 // Setting DTDBD_NO_SIMD to anything other than "0" pins the scalar paths

@@ -6,6 +6,9 @@
 //
 // A coverage assertion walks OpRegistry::All() and fails when a newly
 // registered op has no consistency case here.
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <set>
@@ -325,8 +328,65 @@ Tensor UpstreamWithZeros(const Shape& shape, uint64_t seed) {
   return Tensor::FromData(shape, std::move(v));
 }
 
+// A conv case over rows = b * to output rows. The first window of every
+// sequence is -0, and channels ci % 3 == 0 / 1 get bias +0 / -0 (channel 1
+// with positive weights, so its -0 products keep the sign): those rows'
+// pre-activations are exact +0 and -0, next to the random negative and
+// positive ones elsewhere.
+Built ConvCase(bool fused, int64_t b, int64_t to, int64_t c, int64_t k,
+               int64_t e, uint64_t seed) {
+  const int64_t t = to + k - 1;
+  std::vector<float> xv = Rand({b, t, e}, seed, false).ToVector();
+  for (int64_t bi = 0; bi < b; ++bi) {
+    std::fill_n(xv.begin() + bi * t * e, k * e, -0.0f);
+  }
+  std::vector<float> wv = Rand({c, k * e}, seed + 1, false).ToVector();
+  std::vector<float> bv = Rand({c}, seed + 2, false).ToVector();
+  for (int64_t ci = 0; ci < c; ++ci) {
+    if (ci % 3 == 0) bv[ci] = 0.0f;
+    if (ci % 3 != 1) continue;
+    bv[ci] = -0.0f;
+    for (int64_t j = 0; j < k * e; ++j) {
+      wv[ci * k * e + j] = std::fabs(wv[ci * k * e + j]);
+    }
+  }
+  Tensor x = Tensor::FromData({b, t, e}, std::move(xv), true);
+  Tensor w = Tensor::FromData({c, k * e}, std::move(wv), true);
+  Tensor bias = Tensor::FromData({c}, std::move(bv), true);
+  Tensor y =
+      fused ? Conv1dSeqRelu(x, w, bias, k) : Conv1dSeq(x, w, bias, k);
+  Tensor up = UpstreamWithZeros(y.shape(), seed + 3);
+  return Built{{x, w, bias}, Sum(Mul(y, up)), {y}};
+}
+
 std::vector<Case> ConvSweepCases() {
   std::vector<Case> cases;
+  // Forward shapes: 1..40 output rows cross the 16-row vector dispatch
+  // (shards of >= 16 rows) and every row-group tail (groups of 8 rows at
+  // C <= 16 per slice, 4 above); C crosses the lane masks and the
+  // 32-channel slices.
+  for (int fused = 0; fused < 2; ++fused) {
+    for (int64_t rows = 1; rows <= 40; ++rows) {
+      const int64_t b = rows % 3 == 0 ? 3 : rows % 2 == 0 ? 2 : 1;
+      for (int64_t c : {1, 8, 12, 16, 17, 32, 33}) {
+        for (int64_t k = 1; k <= 5; ++k) {
+          const int64_t e = std::array<int64_t, 3>{3, 8, 17}[(rows + k) % 3];
+          const std::string name =
+              std::string(fused ? "Conv1dSeqRelu" : "Conv1dSeq") +
+              " rows=" + std::to_string(rows) + " C=" + std::to_string(c) +
+              " k=" + std::to_string(k) + " E=" + std::to_string(e) +
+              " B=" + std::to_string(b);
+          const uint64_t seed = static_cast<uint64_t>(
+              (((fused * 41 + rows) * 40 + c) * 8 + k) * 4 + 100000);
+          cases.push_back({name, [=] {
+            return ConvCase(fused, b, rows / b, c, k, e, seed);
+          }});
+        }
+      }
+    }
+  }
+  // Backward shapes: every register count and lane tail of the dW / dX
+  // row kernels.
   for (int fused = 0; fused < 2; ++fused) {
     for (int64_t c = 1; c <= 33; ++c) {
       for (int64_t k = 1; k <= 5; ++k) {

@@ -313,6 +313,20 @@ TEST_F(DtdbdEndToEndTest, AblationFlagsRespected) {
   EXPECT_EQ(result.train_loss_per_epoch.size(), 1u);
 }
 
+// A teacher whose training failed must not look trained: a resume from a
+// checkpoint that does not exist reaches the caller as a non-ok status.
+TEST_F(DtdbdEndToEndTest, UnbiasedTeacherSurfacesTrainingFailure) {
+  DatIeOptions dat;
+  dat.train.epochs = 1;
+  dat.train.resume_from = ::testing::TempDir() + "/no_such_teacher.ckpt";
+  TrainResult result;
+  auto teacher = TrainUnbiasedTeacher("TextCNN-S", config_, splits_.train,
+                                      nullptr, dat, &result);
+  ASSERT_NE(teacher, nullptr);
+  EXPECT_FALSE(result.status.ok());
+  EXPECT_TRUE(result.train_loss_per_epoch.empty());
+}
+
 TEST_F(DtdbdEndToEndTest, MissingTeacherIsFatal) {
   auto student = models::CreateModel("TextCNN-S", config_);
   DtdbdOptions dopts;

@@ -291,6 +291,33 @@ TEST_F(ThreadPoolTest, SingleThreadKernelPoolRunsInline) {
   EXPECT_EQ(calls.load(), 1);
 }
 
+TEST_F(ThreadPoolTest, ParallelForShardsMatchesTheDispatch) {
+  // The shard count a kernel plans with must be the one ParallelFor uses,
+  // through the global pool, an ambient pool and a nested call.
+  const auto count = [](int64_t n, int64_t grain) {
+    std::atomic<int> calls{0};
+    ParallelFor(n, grain, [&](int64_t, int64_t) { calls.fetch_add(1); });
+    return calls.load();
+  };
+  SetNumThreads(4);
+  for (int64_t n : {1, 7, 16, 40, 1000}) {
+    for (int64_t grain : {0, 1, 3, 8, 4096}) {
+      EXPECT_EQ(ParallelForShards(n, grain), count(n, grain))
+          << "n=" << n << " grain=" << grain;
+    }
+  }
+  EXPECT_EQ(ParallelForShards(40, 1), 4);
+  KernelPool pool(2);
+  {
+    ScopedKernelPool scoped(&pool);
+    EXPECT_EQ(ParallelForShards(40, 1), 2);
+    EXPECT_EQ(ParallelForShards(40, 1), count(40, 1));
+  }
+  ParallelFor(2, 1, [](int64_t, int64_t) {
+    EXPECT_EQ(ParallelForShards(40, 1), 1);  // nested calls run inline
+  });
+}
+
 // ----- ParsePositiveInt (shared by --threads / --serve-workers / env) -----
 
 TEST_F(ThreadPoolTest, ParsePositiveIntAcceptsStrictPositiveDecimals) {
