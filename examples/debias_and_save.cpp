@@ -50,12 +50,25 @@ int main(int argc, char** argv) {
   dat_options.train.epochs = epochs * 3 / 2;
   models::ModelConfig teacher_config = config;
   teacher_config.adversarial_lambda = 1.5f;
+  TrainResult teacher_trained;
   auto unbiased = TrainUnbiasedTeacher("TextCNN-S", teacher_config,
-                                       splits.train, nullptr, dat_options);
+                                       splits.train, nullptr, dat_options,
+                                       &teacher_trained);
+  if (!teacher_trained.status.ok()) {
+    std::printf("DAT-IE teacher training failed: %s\n",
+                teacher_trained.status.ToString().c_str());
+    return 1;
+  }
   auto clean = models::CreateModel("M3FEND", config);
   TrainOptions topts;
   topts.epochs = epochs;
-  TrainSupervised(clean.get(), splits.train, nullptr, topts);
+  const TrainResult clean_trained =
+      TrainSupervised(clean.get(), splits.train, nullptr, topts);
+  if (!clean_trained.status.ok()) {
+    std::printf("clean teacher training failed: %s\n",
+                clean_trained.status.ToString().c_str());
+    return 1;
+  }
 
   // Student, distilled in two runs to demonstrate crash-resume. The first
   // run checkpoints every epoch and stops halfway (as if preempted); the

@@ -45,7 +45,13 @@ int main(int argc, char** argv) {
   auto mdfend = models::CreateModel("MDFEND", config);
   TrainOptions topts;
   topts.epochs = epochs;
-  TrainSupervised(mdfend.get(), splits.train, nullptr, topts);
+  const TrainResult mdfend_trained =
+      TrainSupervised(mdfend.get(), splits.train, nullptr, topts);
+  if (!mdfend_trained.status.ok()) {
+    std::printf("MDFEND training failed: %s\n",
+                mdfend_trained.status.ToString().c_str());
+    return 1;
+  }
   auto mdfend_report = EvaluateModel(mdfend.get(), splits.test);
   std::printf("MDFEND: %s\n", mdfend_report.Summary().c_str());
 
@@ -54,15 +60,28 @@ int main(int argc, char** argv) {
   dat_options.train.epochs = epochs * 3 / 2;
   models::ModelConfig teacher_config = config;
   teacher_config.adversarial_lambda = 1.5f;
+  TrainResult teacher_trained;
   auto unbiased = TrainUnbiasedTeacher("TextCNN-S", teacher_config,
-                                       splits.train, nullptr, dat_options);
+                                       splits.train, nullptr, dat_options,
+                                       &teacher_trained);
+  if (!teacher_trained.status.ok()) {
+    std::printf("DAT-IE teacher training failed: %s\n",
+                teacher_trained.status.ToString().c_str());
+    return 1;
+  }
   models::ModelConfig student_config = config;
   student_config.seed = 59;
   auto student = models::CreateModel("TextCNN-S", student_config);
   DtdbdOptions dopts;
   dopts.epochs = epochs + 2;
-  TrainDtdbd(student.get(), unbiased.get(), mdfend.get(), splits.train,
-             splits.val, dopts);
+  const DtdbdResult distilled = TrainDtdbd(
+      student.get(), unbiased.get(), mdfend.get(), splits.train, splits.val,
+      dopts);
+  if (!distilled.status.ok()) {
+    std::printf("DTDBD distillation failed: %s\n",
+                distilled.status.ToString().c_str());
+    return 1;
+  }
   auto dtdbd_report = EvaluateModel(student.get(), splits.test);
   std::printf("Our(MD): %s\n\n", dtdbd_report.Summary().c_str());
 

@@ -52,7 +52,13 @@ int main(int argc, char** argv) {
 
   // 2. Plain student: learns the domain shortcut -> biased.
   auto student_plain = models::CreateModel("TextCNN-S", config);
-  TrainSupervised(student_plain.get(), splits.train, &splits.val, topts);
+  const TrainResult plain_trained =
+      TrainSupervised(student_plain.get(), splits.train, &splits.val, topts);
+  if (!plain_trained.status.ok()) {
+    std::printf("plain student training failed: %s\n",
+                plain_trained.status.ToString().c_str());
+    return 1;
+  }
   auto plain_report = EvaluateModel(student_plain.get(), splits.test);
   std::printf("[student]        %s\n", plain_report.Summary().c_str());
 
@@ -63,15 +69,27 @@ int main(int argc, char** argv) {
   models::ModelConfig teacher_config = config;
   teacher_config.adversarial_lambda =
       static_cast<float>(flags.GetDouble("lambda", 1.5));
-  auto unbiased_teacher = TrainUnbiasedTeacher("TextCNN-S", teacher_config,
-                                               splits.train, nullptr,
-                                               dat_options);
+  TrainResult teacher_trained;
+  auto unbiased_teacher =
+      TrainUnbiasedTeacher("TextCNN-S", teacher_config, splits.train, nullptr,
+                           dat_options, &teacher_trained);
+  if (!teacher_trained.status.ok()) {
+    std::printf("DAT-IE teacher training failed: %s\n",
+                teacher_trained.status.ToString().c_str());
+    return 1;
+  }
   auto teacher_report = EvaluateModel(unbiased_teacher.get(), splits.test);
   std::printf("[DAT-IE teacher] %s\n", teacher_report.Summary().c_str());
 
   // 3b. Clean teacher: fine-tuned MDFEND.
   auto clean_teacher = models::CreateModel("MDFEND", config);
-  TrainSupervised(clean_teacher.get(), splits.train, &splits.val, topts);
+  const TrainResult clean_trained =
+      TrainSupervised(clean_teacher.get(), splits.train, &splits.val, topts);
+  if (!clean_trained.status.ok()) {
+    std::printf("clean teacher training failed: %s\n",
+                clean_trained.status.ToString().c_str());
+    return 1;
+  }
   auto clean_report = EvaluateModel(clean_teacher.get(), splits.test);
   std::printf("[clean teacher]  %s\n", clean_report.Summary().c_str());
 
@@ -93,8 +111,14 @@ int main(int argc, char** argv) {
   dopts.add_loss_scale = static_cast<float>(
       flags.GetDouble("add-scale", dopts.add_loss_scale));
   dopts.batch_size = flags.GetInt("dbatch", dopts.batch_size);
-  TrainDtdbd(student.get(), unbiased_teacher.get(), clean_teacher.get(),
-             splits.train, splits.val, dopts);
+  const DtdbdResult distilled =
+      TrainDtdbd(student.get(), unbiased_teacher.get(), clean_teacher.get(),
+                 splits.train, splits.val, dopts);
+  if (!distilled.status.ok()) {
+    std::printf("DTDBD distillation failed: %s\n",
+                distilled.status.ToString().c_str());
+    return 1;
+  }
   auto dtdbd_report = EvaluateModel(student.get(), splits.test);
   std::printf("[DTDBD student]  %s\n", dtdbd_report.Summary().c_str());
 

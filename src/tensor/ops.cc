@@ -1,6 +1,7 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -106,6 +107,81 @@ struct AxpyTerms {
   int64_t x_outer, x_inner;
   int64_t outer, inner;
 };
+
+// ----- tanh: a port of fdlibm's tanhf -----
+//
+// The one tanh of this library (the Tanh op and FrozenEncode), in float
+// ops only. It is the oracle TanhAvx2 repeats op for op, so the scalar ==
+// SIMD contract does not depend on the host libm. On glibc 2.36 it also
+// equals std::tanh on every one of the 2^32 inputs.
+
+constexpr float kLn2Hi = 6.9313812256e-01f;   // 0x3f317180
+constexpr float kLn2Lo = 9.0580006145e-06f;   // 0x3717f7d1
+constexpr float kInvLn2 = 1.4426950216e+00f;  // 0x3fb8aa3b
+constexpr float kQ1 = -3.3333335072e-02f, kQ2 = 1.5873016091e-03f,
+                kQ3 = -7.9365076090e-05f, kQ4 = 4.0082177293e-06f,
+                kQ5 = -2.0109921195e-07f;
+
+int32_t AbsBits(float x) { return std::bit_cast<int32_t>(x) & 0x7fffffff; }
+
+// y * 2^k by integer addition to the exponent field.
+float AddToExponent(float y, int32_t k) {
+  return std::bit_cast<float>(std::bit_cast<uint32_t>(y) +
+                              (static_cast<uint32_t>(k) << 23));
+}
+
+// fdlibm's expm1f on the arguments tanhf gives it: -2 < x <= -2^-54 or
+// 2 <= x < 44. Its overflow filter and its k == 1 branch never fire there
+// and are left out.
+float Expm1Port(float x) {
+  const int32_t hx = AbsBits(x);
+  float c = 0.0f;
+  int32_t k = 0;
+  if (hx > 0x3eb17218) {  // |x| > 0.5 ln2
+    // k = -1 below 1.5 ln2, which only x < 0 reaches.
+    float hi = x + kLn2Hi, lo = -kLn2Lo;
+    k = -1;
+    if (hx >= 0x3f851592) {
+      k = static_cast<int32_t>(kInvLn2 * x + (x < 0.0f ? -0.5f : 0.5f));
+      const float t = static_cast<float>(k);
+      hi = x - t * kLn2Hi;  // t * kLn2Hi is exact
+      lo = t * kLn2Lo;
+    }
+    x = hi - lo;
+    c = (hi - x) - lo;
+  } else if (hx < 0x33000000) {  // |x| < 2^-25
+    return x;
+  }
+  const float hfx = 0.5f * x;
+  const float hxs = x * hfx;
+  const float r1 =
+      1.0f + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  const float t = 3.0f - r1 * hfx;
+  float e = hxs * ((r1 - t) / (6.0f - x * t));
+  if (k == 0) return x - (x * e - hxs);
+  e = x * (e - c) - c;
+  e -= hxs;
+  if (k == -1) return 0.5f * (x - e) - 0.5f;
+  if (k <= -2 || k > 56) return AddToExponent(1.0f - (e - x), k) - 1.0f;
+  const float y =
+      k < 23 ? std::bit_cast<float>(0x3f800000 - (0x1000000 >> k)) - (e - x)
+             : (x - (e + std::bit_cast<float>((0x7f - k) << 23))) + 1.0f;
+  return AddToExponent(y, k);
+}
+
+float TanhPort(float x) {
+  const int32_t ix = AbsBits(x);
+  if (ix >= 0x7f800000) {  // +-Inf -> +-1, NaN -> NaN
+    return std::signbit(x) ? 1.0f / x - 1.0f : 1.0f / x + 1.0f;
+  }
+  if (ix >= 0x41b00000) return std::signbit(x) ? -1.0f : 1.0f;  // |x| >= 22
+  if (ix == 0) return x;
+  if (ix < 0x24000000) return x * (1.0f + x);  // |x| < 2^-55
+  const bool ge1 = ix >= 0x3f800000;            // |x| >= 1
+  const float t = Expm1Port((ge1 ? 2.0f : -2.0f) * std::fabs(x));
+  const float z = ge1 ? 1.0f - 2.0f / (t + 2.0f) : -t / (t + 2.0f);
+  return std::signbit(x) ? -z : z;
+}
 
 // ----- SIMD fast-path helpers (runtime-dispatched, bitwise-exact) -----
 //
@@ -459,18 +535,138 @@ __attribute__((target("avx512f"))) void GatedColumnSumAvx512(
   }
 }
 
-// orow[j] += sum_k cat[k] * w[k * d + j] for j in [0, d), k ascending over
-// [0, 2d): the frozen encoder's mix with j in the lanes, 32 outputs held in
-// four 256-bit registers across the whole k chain, separate mul and add.
+// TanhPort on each lane of x: TanhAvx2's rare path, kept out of line.
+__attribute__((target("avx2"), noinline)) __m256 TanhPortLanes(__m256 x) {
+  alignas(32) float v[8];
+  _mm256_store_ps(v, x);
+  for (float& f : v) f = TanhPort(f);
+  return _mm256_load_ps(v);
+}
+
+// TanhPort on 8 lanes, op for op and without FMA, so every lane is bitwise
+// equal to the port. Expm1Port's k branches are all computed and blended;
+// exponent arithmetic is integer. A vector with a `live` lane outside
+// 2^-55 <= |x| < 22 (+-0, tiny, saturated, Inf, NaN) runs the scalar port
+// on all 8 lanes instead.
+__attribute__((target("avx2"), always_inline)) inline __m256 TanhAvx2(
+    __m256 x, __m256i live) {
+  const __m256i ix = _mm256_and_si256(_mm256_castps_si256(x),
+                                      _mm256_set1_epi32(0x7fffffff));
+  const __m256i odd = _mm256_and_si256(
+      live, _mm256_or_si256(
+                _mm256_cmpgt_epi32(_mm256_set1_epi32(0x24000000), ix),
+                _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x41afffff))));
+  if (!_mm256_testz_si256(odd, odd)) return TanhPortLanes(x);
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  // Expm1Port's argument a: 2|x| when |x| >= 1, else -2|x|.
+  const __m256i ge1 = _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x3f7fffff));
+  const __m256 neg = _mm256_andnot_ps(_mm256_castsi256_ps(ge1), sign);
+  const __m256 two_ax = _mm256_mul_ps(_mm256_set1_ps(2.0f),
+                                      _mm256_castsi256_ps(ix));
+  const __m256 a = _mm256_xor_ps(two_ax, neg);
+  const __m256i ha = _mm256_castps_si256(two_ax);
+  // Reduction. k = -1 in (0.5 ln2, 1.5 ln2), where the port's hi = a +
+  // kLn2Hi is a - (-1) * kLn2Hi exactly; k = 0 below 0.5 ln2, where hi - lo
+  // = a - 0 - 0 is a and c is unused.
+  __m256i k = _mm256_cvttps_epi32(_mm256_add_ps(
+      _mm256_mul_ps(_mm256_set1_ps(kInvLn2), a),
+      _mm256_xor_ps(_mm256_set1_ps(0.5f), neg)));
+  k = _mm256_blendv_epi8(
+      k, _mm256_set1_epi32(-1),
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(0x3f851592), ha));
+  k = _mm256_and_si256(
+      k, _mm256_cmpgt_epi32(ha, _mm256_set1_epi32(0x3eb17218)));
+  const __m256 tk = _mm256_cvtepi32_ps(k);
+  const __m256 hi = _mm256_sub_ps(a, _mm256_mul_ps(tk, _mm256_set1_ps(kLn2Hi)));
+  const __m256 lo = _mm256_mul_ps(tk, _mm256_set1_ps(kLn2Lo));
+  const __m256 xr = _mm256_sub_ps(hi, lo);
+  const __m256 c = _mm256_sub_ps(_mm256_sub_ps(hi, xr), lo);
+  const __m256 hfx = _mm256_mul_ps(_mm256_set1_ps(0.5f), xr);
+  const __m256 hxs = _mm256_mul_ps(xr, hfx);
+  __m256 r1 = _mm256_set1_ps(kQ5);
+  for (float q : {kQ4, kQ3, kQ2, kQ1, 1.0f}) {
+    r1 = _mm256_add_ps(_mm256_set1_ps(q), _mm256_mul_ps(hxs, r1));
+  }
+  const __m256 t = _mm256_sub_ps(_mm256_set1_ps(3.0f),
+                                 _mm256_mul_ps(r1, hfx));
+  const __m256 e = _mm256_mul_ps(
+      hxs, _mm256_div_ps(_mm256_sub_ps(r1, t),
+                         _mm256_sub_ps(_mm256_set1_ps(6.0f),
+                                       _mm256_mul_ps(xr, t))));
+  const __m256 r0 =
+      _mm256_sub_ps(xr, _mm256_sub_ps(_mm256_mul_ps(xr, e), hxs));
+  const __m256 ec = _mm256_sub_ps(
+      _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c), hxs);
+  const __m256 rm1 = _mm256_sub_ps(
+      _mm256_mul_ps(_mm256_set1_ps(0.5f), _mm256_sub_ps(xr, ec)),
+      _mm256_set1_ps(0.5f));
+  // |k| >= 2: y = s - (e - x) with s = 1 (k <= -2 or k > 56) or 1 - 2^-k
+  // (k < 23), else y = (x - (e + 2^-k)) + 1; then y * 2^k, minus 1 for
+  // the first.
+  const __m256i far = _mm256_or_si256(
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(-1), k),
+      _mm256_cmpgt_epi32(k, _mm256_set1_epi32(56)));
+  const __m256i mid = _mm256_andnot_si256(
+      far, _mm256_cmpgt_epi32(k, _mm256_set1_epi32(22)));
+  const __m256 s = _mm256_blendv_ps(
+      _mm256_castsi256_ps(_mm256_sub_epi32(
+          _mm256_set1_epi32(0x3f800000),
+          _mm256_srlv_epi32(_mm256_set1_epi32(0x1000000), k))),
+      one, _mm256_castsi256_ps(far));
+  const __m256 two_mk = _mm256_castsi256_ps(_mm256_slli_epi32(
+      _mm256_sub_epi32(_mm256_set1_epi32(0x7f), k), 23));
+  __m256 y = _mm256_blendv_ps(
+      _mm256_sub_ps(s, _mm256_sub_ps(ec, xr)),
+      _mm256_add_ps(_mm256_sub_ps(xr, _mm256_add_ps(ec, two_mk)), one),
+      _mm256_castsi256_ps(mid));
+  y = _mm256_castsi256_ps(_mm256_add_epi32(_mm256_castps_si256(y),
+                                           _mm256_slli_epi32(k, 23)));
+  y = _mm256_blendv_ps(y, _mm256_sub_ps(y, one), _mm256_castsi256_ps(far));
+  __m256 em1 = _mm256_blendv_ps(
+      y, rm1,
+      _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1))));
+  em1 = _mm256_blendv_ps(em1, r0,
+                         _mm256_castsi256_ps(
+                             _mm256_cmpeq_epi32(k, _mm256_setzero_si256())));
+  em1 = _mm256_blendv_ps(
+      em1, a,
+      _mm256_castsi256_ps(
+          _mm256_cmpgt_epi32(_mm256_set1_epi32(0x33000000), ha)));
+  // z = 1 - 2 / (t + 2) when |x| >= 1, else -t / (t + 2); sign of x.
+  const __m256 ge1f = _mm256_castsi256_ps(ge1);
+  const __m256 q = _mm256_div_ps(
+      _mm256_blendv_ps(_mm256_xor_ps(em1, sign), _mm256_set1_ps(2.0f), ge1f),
+      _mm256_add_ps(em1, _mm256_set1_ps(2.0f)));
+  const __m256 z = _mm256_blendv_ps(q, _mm256_sub_ps(one, q), ge1f);
+  return _mm256_xor_ps(z, _mm256_and_ps(x, sign));
+}
+
+// y[i] = TanhPort(x[i]) over the whole 8-lane blocks of [0, n); returns
+// how many elements it wrote.
+__attribute__((target("avx2"))) int64_t TanhBlocksAvx2(float* y,
+                                                       const float* x,
+                                                       int64_t n) {
+  const __m256i all = _mm256_set1_epi32(-1);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, TanhAvx2(_mm256_loadu_ps(x + i), all));
+  }
+  return i;
+}
+
+// orow[j] = TanhPort(orow[j] + sum_k cat[k] * w[k * d + j]) for j in
+// [0, d), k ascending over [0, 2d): the frozen encoder's mix with j in the
+// lanes, 32 outputs held in four 256-bit registers across the whole k
+// chain, separate mul and add, and the tanh applied in the registers.
 // 256-bit on purpose: the mix runs once per token on the batch-of-one
 // serving path, where the same kernel in 512-bit registers raised
 // serve_unique's process CPU per reply by ~9% (median of 4 alternating
 // pairs), most likely through the lower clock the core runs at after
-// dense 512-bit FP work. Next to std::tanh the mix is a small share of an
-// encode, so the narrower vector costs training almost nothing.
-__attribute__((target("avx"))) void FrozenMixRowAvx(float* orow, int64_t d,
-                                                    const float* cat,
-                                                    const float* w) {
+// dense 512-bit FP work.
+__attribute__((target("avx2"))) void FrozenMixRowAvx(float* orow, int64_t d,
+                                                     const float* cat,
+                                                     const float* w) {
   static const int32_t kLanes[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
                                      0,  0,  0,  0,  0,  0,  0,  0};
   for (int64_t j0 = 0; j0 < d; j0 += 32) {
@@ -494,7 +690,7 @@ __attribute__((target("avx"))) void FrozenMixRowAvx(float* orow, int64_t d,
     }
 #pragma GCC unroll 4
     for (int v = 0; v < 4; ++v) {
-      _mm256_maskstore_ps(orow + j0 + 8 * v, m[v], acc[v]);
+      _mm256_maskstore_ps(orow + j0 + 8 * v, m[v], TanhAvx2(acc[v], m[v]));
     }
   }
 }
@@ -804,7 +1000,11 @@ Tensor UnaryEw(const Op* op, const Tensor& a_in) {
   const Reader rx = ReadOf(a.node().get());
   std::vector<float> out(static_cast<size_t>(a.numel()));
   float* po = out.data();
+  const bool vec = UseAvx512();
   ParallelFor(a.numel(), kGrain, [&](int64_t s, int64_t e) {
+    if constexpr (requires { &F::FwdSpan; }) {
+      if (rx.flat) return F::FwdSpan(vec, po + s, rx.ptr + s, e - s);
+    }
     if (rx.flat) {
       for (int64_t i = s; i < e; ++i) po[i] = F::Fwd(rx.ptr[i]);
     } else {
@@ -823,8 +1023,18 @@ struct ReluFn {
   static float Dydx(float x, float) { return x > 0.0f ? 1.0f : 0.0f; }
 };
 struct TanhFn {
-  static float Fwd(float x) { return std::tanh(x); }
+  static float Fwd(float x) { return TanhPort(x); }
   static float Dydx(float, float y) { return 1.0f - y * y; }
+  // Fwd over a dense span; `vec` runs its 8-lane blocks on TanhAvx2.
+  static void FwdSpan(bool vec, float* y, const float* x, int64_t n) {
+    int64_t i = 0;
+#ifdef DTDBD_SIMD_AVX512
+    if (vec) i = TanhBlocksAvx2(y, x, n);
+#else
+    (void)vec;
+#endif
+    for (; i < n; ++i) y[i] = Fwd(x[i]);
+  }
 };
 struct SigmoidFn {
   static float Fwd(float x) { return 1.0f / (1.0f + std::exp(-x)); }
@@ -2118,8 +2328,8 @@ Tensor FrozenEncode(const Tensor& table_in, const Tensor& mix_w_in,
         for (int64_t k = 0; k < 2 * d; ++k) {
           for (int64_t j = 0; j < d; ++j) orow[j] += cat[k] * pw[k * d + j];
         }
+        for (int64_t j = 0; j < d; ++j) orow[j] = TanhPort(orow[j]);
       }
-      for (int64_t j = 0; j < d; ++j) orow[j] = std::tanh(orow[j]);
     }
   }
   return MakeOp(kFrozenEncode, {batch, time, d}, std::move(out), {});

@@ -8,7 +8,8 @@
 // trained (all tensors have requires_grad = false), matching the frozen
 // setting; see DESIGN.md §1 for the substitution rationale. The kernel is
 // the registered tensor op FrozenEncode (tensor/ops.h), so per-op profiling
-// sees it and its AVX-512 path builds without FMA contraction; Encode only
+// sees it and its vector path (the mix and an 8-lane tanh, both bitwise
+// equal to the scalar chain) builds without FMA contraction; Encode only
 // supplies the frozen tensors.
 #ifndef DTDBD_TEXT_FROZEN_ENCODER_H_
 #define DTDBD_TEXT_FROZEN_ENCODER_H_

@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -463,6 +465,39 @@ std::vector<Case> FrozenEncodeSweepCases() {
       }});
     }
   }
+  // Pre-activations the vector tanh hands to the scalar port (+0, tiny,
+  // |x| >= 22, +-Inf, NaN: a zero weight column plus that bias) in the
+  // same 8-lane vectors as ordinary ones; the other vectors hold only
+  // ordinary lanes, and D % 8 != 0 adds masked tails.
+  const float specials[] = {0.0f,
+                            1e-20f,
+                            25.0f,
+                            -30.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  for (int64_t d : {7, 13, 20, 32, 40}) {
+    const std::string name = "FrozenEncode fallback lanes D=" +
+                             std::to_string(d);
+    const uint64_t seed = static_cast<uint64_t>(d * 8 + 7000);
+    cases.push_back({name, [=] {
+      Tensor table = Rand({11, d}, seed, /*requires_grad=*/false);
+      std::vector<float> w = Rand({2 * d, d}, seed + 1, false).ToVector();
+      std::vector<float> b = Rand({d}, seed + 2, false).ToVector();
+      for (int64_t j = 2, s = 0; j < std::min<int64_t>(d, 16); j += 3, ++s) {
+        b[j] = specials[(s + d) % std::size(specials)];
+        for (int64_t k = 0; k < 2 * d; ++k) w[k * d + j] = 0.0f;
+      }
+      std::vector<int> ids(12);
+      for (size_t i = 0; i < ids.size(); ++i) {
+        ids[i] = static_cast<int>((i * 7 + static_cast<size_t>(d)) % 11);
+      }
+      Tensor h = FrozenEncode(table, Tensor::FromData({2 * d, d}, w),
+                              Tensor::FromData({d}, b), ids, 3, 4);
+      Tensor scale = Rand({3, 4, d}, seed + 3);
+      return Built{{scale}, Sum(Mul(h, scale)), {h}};
+    }});
+  }
   return cases;
 }
 
@@ -496,6 +531,124 @@ TEST_F(BackendConsistencyTest, PairwiseDistancesSweepMatchesScalarOracle) {
 
 TEST_F(BackendConsistencyTest, FrozenEncodeSweepMatchesScalarOracle) {
   ExpectSweepMatchesScalarOracle(FrozenEncodeSweepCases());
+}
+
+// ----- tanh: the 8-lane AVX2 kernel against the scalar port -----
+//
+// The Tanh op runs the scalar port with SIMD off and the AVX2 kernel on
+// each 8-lane block with SIMD on. Table-driven: a strided sweep over the
+// 2^32 bit patterns, and every branch edge of the port, +-1 ulp and both
+// signs, each alone among ordinary lanes of its 8-lane block. Outputs
+// must have the same bits, or both be NaN.
+
+float FromBits(uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof f);
+  return f;
+}
+
+struct TanhCase {
+  std::string name;
+  std::function<std::vector<float>()> inputs;
+};
+
+std::vector<TanhCase> TanhSweepCases() {
+  std::vector<TanhCase> cases;
+  // Every 251st pattern, ~17M inputs in chunks of 2^20.
+  constexpr uint64_t kStride = 251, kChunk = uint64_t{1} << 20;
+  for (uint64_t first = 0; first < (uint64_t{1} << 32);
+       first += kStride * kChunk) {
+    cases.push_back({"every 251st pattern from " + std::to_string(first), [=] {
+      std::vector<float> x;
+      const uint64_t end =
+          std::min(first + kStride * kChunk, uint64_t{1} << 32);
+      for (uint64_t u = first; u < end; u += kStride) {
+        x.push_back(FromBits(static_cast<uint32_t>(u)));
+      }
+      return x;
+    }});
+  }
+  // |x| bit patterns where the port changes branch. The expm1 thresholds
+  // are on its argument 2|x|, so their |x| is one binade lower.
+  constexpr uint32_t kHalf = 0x00800000;
+  const std::vector<std::pair<std::string, uint32_t>> edges = {
+      {"zero", 0x00000000},
+      {"smallest subnormal", 0x00000001},
+      {"largest subnormal", 0x007fffff},
+      {"tiny: |x| < 2^-55", 0x24000000},
+      {"expm1 |a| < 2^-25", 0x33000000 - kHalf},
+      {"expm1 |a| > 0.5 ln2", 0x3eb17218 - kHalf},
+      {"expm1 |a| < 1.5 ln2", 0x3f851592 - kHalf},
+      {"|x| >= 1", 0x3f800000},
+      {"expm1 k = 23", 0x40f98872},
+      {"expm1 k = 56", 0x4199e0f1},
+      {"expm1 k = 57", 0x419ca6b9},
+      {"|x| >= 22", 0x41b00000},
+      {"largest finite", 0x7f7fffff},
+      {"Inf", 0x7f800000},
+      {"signalling NaN", 0x7f800001},
+      {"quiet NaN", 0x7fc00000},
+  };
+  for (const auto& [name, bits] : edges) {
+    cases.push_back({"edge " + name, [bits] {
+      std::vector<float> x;
+      for (uint32_t sign : {0u, 0x80000000u}) {
+        for (uint32_t u : {bits - 1, bits, bits + 1}) {
+          if (u > 0x7fffffff) continue;  // 0 - 1 ulp
+          const size_t lane = x.size() / 8 % 8;
+          std::vector<float> block(8, 0.5f);
+          block[lane] = FromBits(u | sign);
+          x.insert(x.end(), block.begin(), block.end());
+        }
+      }
+      return x;
+    }});
+  }
+  // The 35 positive inputs (of 2^31, found by exhaustive search) whose
+  // tanh changes when expm1's polynomial 1 + hxs * (Q1 + ...) is built
+  // with fused multiply-adds; the strided sweep is unlikely to hit any.
+  cases.push_back({"fma-sensitive inputs", [] {
+    std::vector<float> x;
+    for (uint32_t sign : {0u, 0x80000000u}) {
+      for (uint32_t u :
+           {0x3dc2562eu, 0x3dce5d98u, 0x3de12456u, 0x3de1bdfdu, 0x3deec581u,
+            0x3df46db4u, 0x3df7ab22u, 0x3dfb025cu, 0x3dff3a9eu, 0x3e02a211u,
+            0x3e0364dau, 0x3e0aa71eu, 0x3e0b6f2eu, 0x3e0d4d10u, 0x3e0f77f8u,
+            0x3e12dd9au, 0x3e1b8854u, 0x3e1ea89eu, 0x3e1ec6ffu, 0x3e20e9cdu,
+            0x3e2f45e3u, 0x3e310a06u, 0x3e31fa36u, 0x3e332a19u, 0x3e388915u,
+            0x3e38adebu, 0x3e42c9b2u, 0x3e4a7c9au, 0x3e503e68u, 0x3e57a8deu,
+            0x3e60e952u, 0x3e625294u, 0x3e632f4fu, 0x3e6b4305u,
+            0x3e6daba9u}) {
+        x.push_back(FromBits(u | sign));
+      }
+    }
+    return x;
+  }});
+  return cases;
+}
+
+TEST_F(BackendConsistencyTest, TanhMatchesScalarPortBitwise) {
+  for (const TanhCase& c : TanhSweepCases()) {
+    const std::vector<float> in = c.inputs();
+    const Tensor x = Tensor::FromData({static_cast<int64_t>(in.size())}, in);
+    std::vector<float> port, vec;
+    {
+      ScopedSimd simd(false);
+      port = Tanh(x).ToVector();
+    }
+    {
+      ScopedSimd simd(true);
+      vec = Tanh(x).ToVector();
+    }
+    int reported = 0;
+    for (size_t i = 0; i < in.size(); ++i) {
+      if (std::isnan(port[i]) && std::isnan(vec[i])) continue;
+      if (std::memcmp(&port[i], &vec[i], sizeof(float)) == 0) continue;
+      ADD_FAILURE() << c.name << ": tanh(" << std::hexfloat << in[i]
+                    << ") = " << vec[i] << ", port gives " << port[i];
+      if (++reported == 5) break;
+    }
+  }
 }
 
 TEST_F(BackendConsistencyTest, RepeatedParallelRunsAreIdentical) {
