@@ -30,10 +30,9 @@ Tensor Conv1dBank::Forward(const Tensor& x) const {
   DTDBD_CHECK_EQ(x.dim(2), embed_dim_);
   std::vector<Tensor> pooled;
   for (size_t i = 0; i < kernel_widths_.size(); ++i) {
-    // Fused conv+ReLU: one node and one buffer per kernel width.
-    Tensor conv = tensor::Conv1dSeqRelu(x, weights_[i], biases_[i],
-                                        kernel_widths_[i]);
-    pooled.push_back(tensor::MaxOverTime(conv));
+    // Fused conv+ReLU+max-over-time: one [B, C] node per kernel width.
+    pooled.push_back(tensor::Conv1dSeqReluMax(x, weights_[i], biases_[i],
+                                              kernel_widths_[i]));
   }
   return tensor::ConcatLastDim(pooled);
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -92,20 +93,12 @@ void CheckSameShape(const char* op, const Tensor& a, const Tensor& b) {
       << ShapeToString(b.shape());
 }
 
-// The terms of an AxpyChain: over (p, q) in [0, outer) x [0, inner),
-// ascending, term (p, q) adds Coef(p, q) * Src(p, q)[j] to row[j], with
-//   Coef(p, q) = g[p * g_outer + q * g_inner], gated as
-//                g * mask + 0.0f (mask at the same offset) when mask != null;
-//   Src(p, q)  = x + p * x_outer + q * x_inner.
-// Terms whose coefficient is +0 or -0 are skipped, like the conv backward's
-// scalar `if (gv == 0.0f) continue`.
-struct AxpyTerms {
-  const float* g;
-  const float* mask;
-  int64_t g_outer, g_inner;
+// One term of an AxpyChain: it adds a * x[j] to row[j]. The conv backward
+// builds its chains without the terms whose coefficient is +0 or -0, like
+// the dense loop's `if (gv == 0.0f) continue`.
+struct AxpyTerm {
+  float a;
   const float* x;
-  int64_t x_outer, x_inner;
-  int64_t outer, inner;
 };
 
 // ----- tanh: a port of fdlibm's tanhf -----
@@ -257,28 +250,22 @@ __attribute__((target("avx512f"))) void DotAccum16Avx512(const float* g,
   _mm512_storeu_ps(out16, acc);
 }
 
-// The LinearRelu epilogue: pre = o[j] + b[j]; mask[j] = pre > 0;
-// o[j] = pre > 0 ? pre : 0. _CMP_GT_OQ matches the scalar `pre > 0.0f`
-// (quiet, NaN compares false).
+// The LinearRelu epilogue: pre = o[j] + b[j]; o[j] = pre > 0 ? pre : 0.
+// _CMP_GT_OQ matches the scalar `pre > 0.0f` (quiet, NaN compares false).
 __attribute__((target("avx512f"))) void BiasReluRowAvx512(float* o,
-                                                          float* mask,
                                                           const float* b,
                                                           int64_t n) {
   const __m512 zero = _mm512_setzero_ps();
-  const __m512 one = _mm512_set1_ps(1.0f);
   int64_t j = 0;
   for (; j + 16 <= n; j += 16) {
     const __m512 pre =
         _mm512_add_ps(_mm512_loadu_ps(o + j), _mm512_loadu_ps(b + j));
     const __mmask16 on = _mm512_cmp_ps_mask(pre, zero, _CMP_GT_OQ);
-    _mm512_storeu_ps(mask + j, _mm512_mask_blend_ps(on, zero, one));
-    _mm512_storeu_ps(o + j, _mm512_mask_blend_ps(on, zero, pre));
+    _mm512_storeu_ps(o + j, _mm512_maskz_mov_ps(on, pre));
   }
   for (; j < n; ++j) {
     const float pre = o[j] + b[j];
-    const bool on = pre > 0.0f;
-    mask[j] = on ? 1.0f : 0.0f;
-    o[j] = on ? pre : 0.0f;
+    o[j] = pre > 0.0f ? pre : 0.0f;
   }
 }
 
@@ -415,16 +402,15 @@ inline __mmask16 LaneMask(int64_t k) {
 // slice's tail; masked loads never touch memory past the slice.
 constexpr int kMaxRowRegs = 10;  // 160 floats, leaving registers for operands
 
-// row[j0 + j] += Coef(p, q) * Src(p, q)[j0 + j] for j in [0, len), over
-// the terms (p, q) of `t` in ascending order: each element sees the scalar
-// loop's mul then add, term by term, in the same order. The zero skip is a
-// branch: behind MaxOverTime pooling nearly every conv coefficient is
-// zero, so it predicts well and saves the loads.
+// row[j0 + j] += t.a * t.x[j0 + j] for j in [0, len), over the `count`
+// terms in order: each element sees the scalar loop's mul then add, term
+// by term, in the same order.
 template <int NV>
 struct AxpyChainAvx512 {
   __attribute__((target("avx512f"))) static void Run(int64_t j0,
                                                      int64_t len, float* row,
-                                                     const AxpyTerms& t) {
+                                                     const AxpyTerm* terms,
+                                                     int64_t count) {
     __mmask16 m[NV];
     __m512 acc[NV];
 #pragma GCC unroll 16
@@ -432,23 +418,13 @@ struct AxpyChainAvx512 {
       m[v] = LaneMask(len - 16 * v);
       acc[v] = _mm512_maskz_loadu_ps(m[v], row + j0 + 16 * v);
     }
-    const float* const mask = t.mask;
-    for (int64_t p = 0; p < t.outer; ++p) {
-      const float* g = t.g + p * t.g_outer;
-      const float* gm = mask != nullptr ? mask + p * t.g_outer : nullptr;
-      const float* x = t.x + p * t.x_outer + j0;
-      for (int64_t q = 0; q < t.inner; ++q) {
-        float a = g[q * t.g_inner];
-        if (mask != nullptr) a = a * gm[q * t.g_inner] + 0.0f;
-        if (a == 0.0f) continue;
-        const __m512 va = _mm512_set1_ps(a);
-        const float* xq = x + q * t.x_inner;
+    for (int64_t i = 0; i < count; ++i) {
+      const __m512 va = _mm512_set1_ps(terms[i].a);
+      const float* x = terms[i].x + j0;
 #pragma GCC unroll 16
-        for (int v = 0; v < NV; ++v) {
-          acc[v] = _mm512_add_ps(
-              acc[v],
-              _mm512_mul_ps(va, _mm512_maskz_loadu_ps(m[v], xq + 16 * v)));
-        }
+      for (int v = 0; v < NV; ++v) {
+        acc[v] = _mm512_add_ps(
+            acc[v], _mm512_mul_ps(va, _mm512_maskz_loadu_ps(m[v], x + 16 * v)));
       }
     }
 #pragma GCC unroll 16
@@ -511,27 +487,47 @@ void ForRowSlices(int64_t n, const A&... args) {
   }
 }
 
-// gb[ci] += g[r, ci] * mask[r, ci] + 0.0f (mask null: g[r, ci]) over rows r
-// ascending, for channels ci in [s, e) with the channels in the lanes;
-// a zero gated grad leaves its lane unchanged, like the scalar skip.
-__attribute__((target("avx512f"))) void GatedColumnSumAvx512(
-    const float* g, const float* mask, int64_t rows, int64_t c, int64_t s,
-    int64_t e, float* gb) {
+// gb[ci] += g[r, ci] over rows r ascending, for channels ci in [s, e) with
+// the channels in the lanes; a zero grad leaves its lane unchanged, like
+// the scalar skip.
+__attribute__((target("avx512f"))) void ColumnSumAvx512(const float* g,
+                                                       int64_t rows,
+                                                       int64_t c, int64_t s,
+                                                       int64_t e, float* gb) {
   const __m512 zero = _mm512_setzero_ps();
   for (int64_t c0 = s; c0 < e; c0 += 16) {
     const __mmask16 m = LaneMask(e - c0);
     __m512 acc = _mm512_maskz_loadu_ps(m, gb + c0);
     for (int64_t r = 0; r < rows; ++r) {
-      __m512 gv = _mm512_maskz_loadu_ps(m, g + r * c + c0);
-      if (mask != nullptr) {
-        gv = _mm512_add_ps(
-            _mm512_mul_ps(gv, _mm512_maskz_loadu_ps(m, mask + r * c + c0)),
-            zero);
-      }
+      const __m512 gv = _mm512_maskz_loadu_ps(m, g + r * c + c0);
       const __mmask16 on = _mm512_cmp_ps_mask(gv, zero, _CMP_NEQ_UQ);
       acc = _mm512_mask_add_ps(acc, on, acc, gv);
     }
     _mm512_mask_storeu_ps(gb + c0, m, acc);
+  }
+}
+
+// best[ci] = max over o in [0, to) of tile[o, ci], arg[ci] = its first
+// position, for every ci in [0, c) with the channels in the lanes: each
+// lane runs the scalar scan from o = 0, and _CMP_GT_OQ is its `v > best`.
+__attribute__((target("avx512f"))) void MaxOverRowsAvx512(const float* tile,
+                                                         int64_t to,
+                                                         int64_t c,
+                                                         float* best,
+                                                         int32_t* arg) {
+  for (int64_t c0 = 0; c0 < c; c0 += 16) {
+    const __mmask16 m = LaneMask(c - c0);
+    __m512 vb = _mm512_maskz_loadu_ps(m, tile + c0);
+    __m512i vi = _mm512_setzero_si512();
+    for (int64_t o = 1; o < to; ++o) {
+      const __m512 v = _mm512_maskz_loadu_ps(m, tile + o * c + c0);
+      const __mmask16 gt = _mm512_cmp_ps_mask(v, vb, _CMP_GT_OQ);
+      vb = _mm512_mask_mov_ps(vb, gt, v);
+      vi = _mm512_mask_mov_epi32(vi, gt,
+                                 _mm512_set1_epi32(static_cast<int32_t>(o)));
+    }
+    _mm512_mask_storeu_ps(best + c0, m, vb);
+    _mm512_mask_storeu_epi32(arg + c0, m, vi);
   }
 }
 
@@ -655,17 +651,18 @@ __attribute__((target("avx2"))) int64_t TanhBlocksAvx2(float* y,
   return i;
 }
 
-// orow[j] = TanhPort(orow[j] + sum_k cat[k] * w[k * d + j]) for j in
-// [0, d), k ascending over [0, 2d): the frozen encoder's mix with j in the
-// lanes, 32 outputs held in four 256-bit registers across the whole k
-// chain, separate mul and add, and the tanh applied in the registers.
+// orow[j] = TanhPort(orow[j] + sum_k ctx[k] * w[k * d + j]) for j in
+// [0, d), k ascending over [0, d): the context half of the frozen
+// encoder's mix with j in the lanes, 32 outputs held in four 256-bit
+// registers across the whole k chain, separate mul and add, and the tanh
+// applied in the registers.
 // 256-bit on purpose: the mix runs once per token on the batch-of-one
 // serving path, where the same kernel in 512-bit registers raised
 // serve_unique's process CPU per reply by ~9% (median of 4 alternating
 // pairs), most likely through the lower clock the core runs at after
 // dense 512-bit FP work.
 __attribute__((target("avx2"))) void FrozenMixRowAvx(float* orow, int64_t d,
-                                                     const float* cat,
+                                                     const float* ctx,
                                                      const float* w) {
   static const int32_t kLanes[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
                                      0,  0,  0,  0,  0,  0,  0,  0};
@@ -679,8 +676,8 @@ __attribute__((target("avx2"))) void FrozenMixRowAvx(float* orow, int64_t d,
           reinterpret_cast<const __m256i*>(kLanes + 8 - live));
       acc[v] = _mm256_maskload_ps(orow + j0 + 8 * v, m[v]);
     }
-    for (int64_t k = 0; k < 2 * d; ++k) {
-      const __m256 va = _mm256_set1_ps(cat[k]);
+    for (int64_t k = 0; k < d; ++k) {
+      const __m256 va = _mm256_set1_ps(ctx[k]);
       const float* x = w + k * d + j0;
 #pragma GCC unroll 4
       for (int v = 0; v < 4; ++v) {
@@ -715,29 +712,79 @@ __attribute__((target("avx512f"))) void PairwiseGradRowAvx512(
 inline bool UseAvx512() { return false; }
 #endif  // x86_64
 
-// row[j] += Coef(p, q) * Src(p, q)[j] for j in [0, n) over the terms of
-// `t` (see AxpyTerms): the shared inner loop of both conv backward phases.
-// `vec` selects the row-in-registers AVX-512 path, which is bitwise equal
-// to the scalar loop.
-void AxpyChain(bool vec, float* row, int64_t n, const AxpyTerms& t) {
+// row[j] += t.a * t.x[j] for j in [0, n) over the `count` terms in order:
+// the shared inner loop of both conv backward phases. `vec` selects the
+// row-in-registers AVX-512 path, which is bitwise equal to the scalar
+// loop.
+void AxpyChain(bool vec, float* row, int64_t n, const AxpyTerm* terms,
+               int64_t count) {
+  if (count == 0) return;
 #ifdef DTDBD_SIMD_AVX512
   if (vec) {
-    ForRowSlices<AxpyChainAvx512>(n, row, t);
+    ForRowSlices<AxpyChainAvx512>(n, row, terms, count);
     return;
   }
 #else
   (void)vec;
 #endif
-  for (int64_t p = 0; p < t.outer; ++p) {
-    for (int64_t q = 0; q < t.inner; ++q) {
-      const int64_t off = p * t.g_outer + q * t.g_inner;
-      float a = t.g[off];
-      if (t.mask != nullptr) a = a * t.mask[off] + 0.0f;
-      if (a == 0.0f) continue;
-      const float* x = t.x + p * t.x_outer + q * t.x_inner;
-      for (int64_t j = 0; j < n; ++j) row[j] += a * x[j];
+  for (int64_t i = 0; i < count; ++i) {
+    const float a = terms[i].a;
+    const float* x = terms[i].x;
+    for (int64_t j = 0; j < n; ++j) row[j] += a * x[j];
+  }
+}
+
+// gb[ci] += g[r, ci] over rows r ascending, skipping zeros, for channels
+// ci in [s, e): the conv bias gradient. `vec` selects ColumnSumAvx512.
+void ColumnSum(bool vec, const float* g, int64_t rows, int64_t c, int64_t s,
+               int64_t e, float* gb) {
+#ifdef DTDBD_SIMD_AVX512
+  if (vec) {
+    ColumnSumAvx512(g, rows, c, s, e, gb);
+    return;
+  }
+#else
+  (void)vec;
+#endif
+  for (int64_t ci = s; ci < e; ++ci) {
+    for (int64_t r = 0; r < rows; ++r) {
+      if (g[r * c + ci] != 0.0f) gb[ci] += g[r * c + ci];
     }
   }
+}
+
+// Max-over-time pooling of x [b, t, n]: po[bi, j] = max over ti of
+// x[bi, ti, j] and pam[bi, j] = its first position, by the scan
+// `v > best` from ti = 0. Sharded over the batch; the vector path
+// (MaxOverRowsAvx512) runs the same scan in each lane.
+void PoolMaxOverTime(const float* px, int64_t b, int64_t t, int64_t n,
+                     float* po, int32_t* pam) {
+  const bool vec = UseAvx512();
+  ParallelFor(b, GrainForRows(t * n), [&](int64_t s, int64_t e) {
+    for (int64_t bi = s; bi < e; ++bi) {
+      const float* x = px + bi * t * n;
+      float* best = po + bi * n;
+      int32_t* arg = pam + bi * n;
+#ifdef DTDBD_SIMD_AVX512
+      if (vec) {
+        MaxOverRowsAvx512(x, t, n, best, arg);
+        continue;
+      }
+#else
+      (void)vec;
+#endif
+      for (int64_t j = 0; j < n; ++j) {
+        best[j] = x[j];
+        arg[j] = 0;
+        for (int64_t ti = 1; ti < t; ++ti) {
+          if (x[ti * n + j] > best[j]) {
+            best[j] = x[ti * n + j];
+            arg[j] = static_cast<int32_t>(ti);
+          }
+        }
+      }
+    }
+  });
 }
 
 // The exact ikj accumulation of MatMul (zero-skip per A element) for
@@ -1124,28 +1171,26 @@ const Op* const kMatMul =
 // Bitwise-equality contract with the unfused chain: the forward runs the
 // exact MatMul accumulation (ikj order, zero-skip) into the output buffer,
 // then adds the bias and clamps in place; the backward first gates the
-// incoming grad through the saved ReLU mask into a scratch buffer — exactly
-// the value the unfused chain leaves in the AddBias node's grad — and then
+// incoming grad through the ReLU mask into a scratch buffer — exactly the
+// value the unfused chain leaves in the AddBias node's grad — and then
 // replays the AddBias and MatMul backward kernels against that scratch.
-
-struct LinearReluState {
-  std::vector<float> mask;  // 1.0 where the pre-activation was > 0
-};
+// The mask is read off the output: out > 0 exactly where pre > 0.
 
 void LinearReluBackward(Node* self) {
   Node* xn = self->inputs[0].get();
   Node* wn = self->inputs[1].get();
   Node* bn = self->inputs[2].get();
   const int64_t m = xn->shape[0], k = xn->shape[1], n = wn->shape[1];
-  const auto* st = static_cast<const LinearReluState*>(self->saved.get());
   const float* g = self->grad.data();
-  const float* mask = st->mask.data();
+  const float* out = self->cdata();
   // The unfused Relu backward accumulates g * {0,1} into a zeroed buffer;
   // the + 0.0f reproduces that add (canonicalizing -0 products to +0).
   std::vector<float> g2(static_cast<size_t>(m * n));
   float* pg2 = g2.data();
   ParallelFor(m * n, kGrain, [&](int64_t s, int64_t e) {
-    for (int64_t i = s; i < e; ++i) pg2[i] = g[i] * mask[i] + 0.0f;
+    for (int64_t i = s; i < e; ++i) {
+      pg2[i] = g[i] * (out[i] > 0.0f ? 1.0f : 0.0f) + 0.0f;
+    }
   });
   if (bn->requires_grad) {
     // AddBias backward: bias columns sharded, rows ascending. The vector
@@ -1596,59 +1641,85 @@ const Op* const kEmbeddingGather =
 const Op* const kFrozenEncode =
     OpRegistry::Get().Register({"FrozenEncode", 0, nullptr});
 
-// ----- Conv1dSeq -----
-
-// Shared by Conv1dSeq and the fused Conv1dSeqRelu, whose saved ReLU mask
-// gates each upstream grad where it is read: g * mask + 0.0f is exactly
-// what the unfused Relu backward leaves in the conv node's grad. `g`
-// addresses self->numel elements in logical order; `mask` is null for the
-// plain conv.
-void Conv1dSeqBackwardWithGrad(Node* self, const float* g,
-                               const float* mask) {
+// ----- Conv backward (Conv1dSeq and Conv1dSeqReluMax) -----
+//
+// `ga` is the gradient that reaches the conv's output positions, as rows
+// of c channels: b * to rows for Conv1dSeq (row bi * to + o is position o
+// of sequence bi), or b rows for Conv1dSeqReluMax, whose `argmax` [b, c]
+// names the one position of each (bi, ci) that the pooled gradient
+// reaches (every other position gets +0). Both phases skip zero
+// coefficients and otherwise replay the dense loop's per-element order,
+// so the two ops are bitwise equal to it at every thread count and with
+// SIMD on or off.
+void ConvBackward(Node* self, const float* ga, const int32_t* argmax) {
   Node* xn = self->inputs[0].get();
   Node* wn = self->inputs[1].get();
   Node* bn = self->inputs[2].get();
-  const int64_t b = self->shape[0], to = self->shape[1], c = self->shape[2];
-  const int64_t t = xn->shape[1], e = xn->shape[2];
-  const int64_t win = wn->shape[1];
+  const int64_t b = xn->shape[0], t = xn->shape[1], e = xn->shape[2];
+  const int64_t c = wn->shape[0], win = wn->shape[1];
+  const int64_t to = t - win / e + 1;
+  const int64_t per_seq = argmax != nullptr ? 1 : to;  // rows of ga per bi
+  const int64_t rows = b * per_seq;
+  // Position of row r's channel ci within its sequence.
+  const auto pos = [&](int64_t r, int64_t ci) -> int64_t {
+    return argmax != nullptr ? argmax[r * c + ci] : r % to;
+  };
   const bool vec = UseAvx512();
   // Phase 1: weight/bias gradients, sharded over output channels — each
   // channel's gw row and gb entry belong to exactly one shard, accumulated
   // over (bi, o) in ascending order like the serial kernel.
   if (wn->requires_grad || bn->requires_grad) {
     const float* px = xn->cdata();
-    ParallelFor(c, GrainForRows(b * to * win), [&](int64_t s, int64_t e2) {
-#ifdef DTDBD_SIMD_AVX512
-      if (bn->requires_grad && vec) {
-        GatedColumnSumAvx512(g, mask, b * to, c, s, e2, bn->grad.data());
+    ParallelFor(c, GrainForRows(rows * win), [&](int64_t s, int64_t e2) {
+      if (bn->requires_grad) {
+        ColumnSum(vec, ga, rows, c, s, e2, bn->grad.data());
       }
-#endif
+      if (!wn->requires_grad) return;
+      std::vector<AxpyTerm> terms;
       for (int64_t ci = s; ci < e2; ++ci) {
-        if (bn->requires_grad && !vec) {
-          for (int64_t r = ci; r < b * to * c; r += c) {
-            const float gv = mask != nullptr ? g[r] * mask[r] + 0.0f : g[r];
-            if (gv != 0.0f) bn->grad[ci] += gv;
-          }
+        terms.clear();
+        for (int64_t r = 0; r < rows; ++r) {
+          const float a = ga[r * c + ci];
+          if (a == 0.0f) continue;
+          terms.push_back({a, px + ((r / per_seq) * t + pos(r, ci)) * e});
         }
-        if (wn->requires_grad) {
-          AxpyChain(vec, wn->grad.data() + ci * win, win,
-                    {g + ci, mask != nullptr ? mask + ci : nullptr, to * c, c,
-                     px, t * e, e, b, to});
-        }
+        AxpyChain(vec, wn->grad.data() + ci * win, win, terms.data(),
+                  static_cast<int64_t>(terms.size()));
       }
     });
   }
   // Phase 2: input gradient, sharded over the batch — overlapping windows
-  // only overlap within one sequence, so shards write disjoint gx rows.
+  // only overlap within one sequence, so shards write disjoint gx rows. A
+  // sequence's terms are bucketed by position, stable in ci, and each
+  // bucket runs as one chain into its window: every gx element sees them
+  // in (o, ci) order, like the dense loop.
   if (xn->requires_grad) {
     const float* pw = wn->cdata();
-    ParallelFor(b, GrainForRows(to * c * win), [&](int64_t s, int64_t e2) {
+    ParallelFor(b, GrainForRows(per_seq * c * win), [&](int64_t s, int64_t e2) {
+      std::vector<int64_t> end(static_cast<size_t>(to + 1));
+      std::vector<AxpyTerm> terms(static_cast<size_t>(per_seq * c));
       for (int64_t bi = s; bi < e2; ++bi) {
+        // Counting sort: end[o + 1] counts position o's terms, then the
+        // prefix sums make end[o] bucket o's first slot; placing the terms
+        // advances it to the bucket's end.
+        std::fill(end.begin(), end.end(), 0);
+        for (int64_t r = bi * per_seq; r < (bi + 1) * per_seq; ++r) {
+          for (int64_t ci = 0; ci < c; ++ci) {
+            if (ga[r * c + ci] != 0.0f) ++end[pos(r, ci) + 1];
+          }
+        }
+        std::partial_sum(end.begin(), end.end(), end.begin());
+        for (int64_t r = bi * per_seq; r < (bi + 1) * per_seq; ++r) {
+          for (int64_t ci = 0; ci < c; ++ci) {
+            const float a = ga[r * c + ci];
+            if (a != 0.0f) terms[end[pos(r, ci)]++] = {a, pw + ci * win};
+          }
+        }
+        int64_t first = 0;
         for (int64_t o = 0; o < to; ++o) {
-          const int64_t r = (bi * to + o) * c;
           AxpyChain(vec, xn->grad.data() + (bi * t + o) * e, win,
-                    {g + r, mask != nullptr ? mask + r : nullptr, 0, 1, pw, 0,
-                     win, 1, c});
+                    terms.data() + first, end[o] - first);
+          first = end[o];
         }
       }
     });
@@ -1656,25 +1727,34 @@ void Conv1dSeqBackwardWithGrad(Node* self, const float* g,
 }
 
 void Conv1dSeqBackward(Node* self) {
-  Conv1dSeqBackwardWithGrad(self, self->grad.data(), /*mask=*/nullptr);
+  ConvBackward(self, self->grad.data(), /*argmax=*/nullptr);
 }
 
 const Op* const kConv1dSeq =
     OpRegistry::Get().Register({"Conv1dSeq", 3, &Conv1dSeqBackward});
 
-// ----- Conv1dSeqRelu (fused Conv1dSeq + Relu) -----
+// ----- Conv1dSeqReluMax (fused Conv1dSeq + Relu + MaxOverTime) -----
 
-struct Conv1dSeqReluState {
-  std::vector<float> mask;  // 1.0 where the pre-activation was > 0
+struct Conv1dSeqReluMaxState {
+  std::vector<int32_t> argmax;  // [b, c]: first position of the max
 };
 
-void Conv1dSeqReluBackward(Node* self) {
-  const auto* st = static_cast<const Conv1dSeqReluState*>(self->saved.get());
-  Conv1dSeqBackwardWithGrad(self, self->grad.data(), st->mask.data());
+// The unfused chain leaves (0 + g) * m + 0 in the conv node's grad at the
+// argmax, m the ReLU mask there, and +0 everywhere else. m is 1 exactly
+// where the pooled output is > 0.
+void Conv1dSeqReluMaxBackward(Node* self) {
+  const auto* st = static_cast<const Conv1dSeqReluMaxState*>(self->saved.get());
+  const float* g = self->grad.data();
+  const float* pooled = self->cdata();
+  std::vector<float> ga(static_cast<size_t>(self->numel));
+  for (int64_t i = 0; i < self->numel; ++i) {
+    ga[i] = (0.0f + g[i]) * (pooled[i] > 0.0f ? 1.0f : 0.0f) + 0.0f;
+  }
+  ConvBackward(self, ga.data(), st->argmax.data());
 }
 
-const Op* const kConv1dSeqRelu =
-    OpRegistry::Get().Register({"Conv1dSeqRelu", 3, &Conv1dSeqReluBackward});
+const Op* const kConv1dSeqReluMax = OpRegistry::Get().Register(
+    {"Conv1dSeqReluMax", 3, &Conv1dSeqReluMaxBackward});
 
 // ----- GradReverse -----
 
@@ -2030,29 +2110,10 @@ Tensor MaxOverTime(const Tensor& x_in) {
   const int64_t b = x.dim(0), t = x.dim(1), n = x.dim(2);
   DTDBD_CHECK_GT(t, 0);
   ScopedOpTimer timer(kMaxOverTime);
-  const float* px = x.data().data();
   std::vector<float> out(static_cast<size_t>(b * n));
   auto state = std::make_shared<MaxOverTimeState>();
   state->argmax.resize(static_cast<size_t>(b * n));
-  float* po = out.data();
-  int32_t* pam = state->argmax.data();
-  ParallelFor(b, GrainForRows(t * n), [&](int64_t s, int64_t e) {
-    for (int64_t bi = s; bi < e; ++bi) {
-      for (int64_t j = 0; j < n; ++j) {
-        float best = px[(bi * t + 0) * n + j];
-        int32_t best_t = 0;
-        for (int64_t ti = 1; ti < t; ++ti) {
-          const float v = px[(bi * t + ti) * n + j];
-          if (v > best) {
-            best = v;
-            best_t = static_cast<int32_t>(ti);
-          }
-        }
-        po[bi * n + j] = best;
-        pam[bi * n + j] = best_t;
-      }
-    }
-  });
+  PoolMaxOverTime(x.data().data(), b, t, n, out.data(), state->argmax.data());
   return MakeOp(kMaxOverTime, {b, n}, std::move(out), {x}, state);
 }
 
@@ -2270,21 +2331,48 @@ Tensor EmbeddingGather(const Tensor& table_in, const std::vector<int>& ids,
                 state);
 }
 
-Tensor FrozenEncode(const Tensor& table_in, const Tensor& mix_w_in,
-                    const Tensor& mix_b_in, const std::vector<int>& ids,
-                    int64_t batch, int64_t time) {
+Tensor FrozenTokenMix(const Tensor& table_in, const Tensor& mix_w_in,
+                      const Tensor& mix_b_in) {
   DTDBD_CHECK_EQ(table_in.ndim(), 2);
-  DTDBD_CHECK_EQ(static_cast<int64_t>(ids.size()), batch * time);
   Tensor table = Contiguous(table_in);
   Tensor w = Contiguous(mix_w_in);
   Tensor bias = Contiguous(mix_b_in);
   const int64_t v = table.dim(0), d = table.dim(1);
   DTDBD_CHECK(w.shape() == (Shape{2 * d, d}))
-      << "FrozenEncode: mix weight must be [2*dim, dim], got "
+      << "FrozenTokenMix: mix weight must be [2*dim, dim], got "
       << ShapeToString(w.shape());
   DTDBD_CHECK(bias.shape() == (Shape{d}))
-      << "FrozenEncode: mix bias must be [dim], got "
+      << "FrozenTokenMix: mix bias must be [dim], got "
       << ShapeToString(bias.shape());
+  const float* tab = table.data().data();
+  const float* pw = w.data().data();
+  std::vector<float> mix(static_cast<size_t>(v * d));
+  for (int64_t id = 0; id < v; ++id) {
+    const float* e = tab + id * d;
+    float* row = mix.data() + id * d;
+    std::copy_n(bias.data().data(), d, row);
+    for (int64_t k = 0; k < d; ++k) {
+      for (int64_t j = 0; j < d; ++j) row[j] += e[k] * pw[k * d + j];
+    }
+  }
+  return Tensor::FromData({v, d}, std::move(mix));
+}
+
+Tensor FrozenEncode(const Tensor& table_in, const Tensor& token_mix_in,
+                    const Tensor& mix_w_in, const std::vector<int>& ids,
+                    int64_t batch, int64_t time) {
+  DTDBD_CHECK_EQ(table_in.ndim(), 2);
+  DTDBD_CHECK_EQ(static_cast<int64_t>(ids.size()), batch * time);
+  Tensor table = Contiguous(table_in);
+  Tensor token_mix = Contiguous(token_mix_in);
+  Tensor w = Contiguous(mix_w_in);
+  const int64_t v = table.dim(0), d = table.dim(1);
+  DTDBD_CHECK(token_mix.shape() == table.shape())
+      << "FrozenEncode: token mix must be [vocab, dim], got "
+      << ShapeToString(token_mix.shape());
+  DTDBD_CHECK(w.shape() == (Shape{2 * d, d}))
+      << "FrozenEncode: mix weight must be [2*dim, dim], got "
+      << ShapeToString(w.shape());
   // All ids bounds-checked up front: the neighbourhood loop reads ids at
   // offsets other than the current position, so a per-element check at
   // use would not cover every read.
@@ -2294,39 +2382,40 @@ Tensor FrozenEncode(const Tensor& table_in, const Tensor& mix_w_in,
   }
   ScopedOpTimer timer(kFrozenEncode);
   const float* tab = table.data().data();
-  const float* pw = w.data().data();
-  const float* pb = bias.data().data();
+  const float* pmix = token_mix.data().data();
+  const float* pw = w.data().data() + d * d;  // the context rows [d, 2d)
   std::vector<float> out(static_cast<size_t>(batch * time * d));
   const bool vec = UseAvx512();
   // h_t = tanh(W^T [e_t ; ctx_t] + b), ctx_t the mean of the +/-1
-  // neighbourhood (whichever neighbours exist at the edges).
-  std::vector<float> cat(static_cast<size_t>(2 * d));
+  // neighbourhood (whichever neighbours exist at the edges). The chain
+  // starts from the token's row of the mix table, which already holds
+  // b + the e_t half, and continues over the context half.
+  std::vector<float> ctx(static_cast<size_t>(d));
   for (int64_t bi = 0; bi < batch; ++bi) {
     for (int64_t ti = 0; ti < time; ++ti) {
-      const float* e = tab + static_cast<int64_t>(ids[bi * time + ti]) * d;
-      std::copy_n(e, d, cat.begin());
-      std::fill_n(cat.begin() + d, d, 0.0f);
+      std::fill(ctx.begin(), ctx.end(), 0.0f);
       int count = 0;
       for (int64_t tn : {ti - 1, ti + 1}) {
         if (tn < 0 || tn >= time) continue;
         const float* en =
             tab + static_cast<int64_t>(ids[bi * time + tn]) * d;
-        for (int64_t j = 0; j < d; ++j) cat[d + j] += en[j];
+        for (int64_t j = 0; j < d; ++j) ctx[j] += en[j];
         ++count;
       }
       if (count > 0) {
         const float inv = 1.0f / static_cast<float>(count);
-        for (int64_t j = 0; j < d; ++j) cat[d + j] *= inv;
+        for (int64_t j = 0; j < d; ++j) ctx[j] *= inv;
       }
       float* orow = out.data() + (bi * time + ti) * d;
-      std::copy_n(pb, d, orow);
+      std::copy_n(pmix + static_cast<int64_t>(ids[bi * time + ti]) * d, d,
+                  orow);
       if (vec) {
 #ifdef DTDBD_SIMD_AVX512
-        FrozenMixRowAvx(orow, d, cat.data(), pw);
+        FrozenMixRowAvx(orow, d, ctx.data(), pw);
 #endif
       } else {
-        for (int64_t k = 0; k < 2 * d; ++k) {
-          for (int64_t j = 0; j < d; ++j) orow[j] += cat[k] * pw[k * d + j];
+        for (int64_t k = 0; k < d; ++k) {
+          for (int64_t j = 0; j < d; ++j) orow[j] += ctx[k] * pw[k * d + j];
         }
         for (int64_t j = 0; j < d; ++j) orow[j] = TanhPort(orow[j]);
       }
@@ -2337,7 +2426,7 @@ Tensor FrozenEncode(const Tensor& table_in, const Tensor& mix_w_in,
 
 namespace {
 
-// ----- Conv forward (shared by Conv1dSeq / Conv1dSeqRelu) -----
+// ----- Conv forward (shared by Conv1dSeq / Conv1dSeqReluMax) -----
 //
 // Each output element (r, ci) is a length-`win` dot product of output row
 // r's input window with weight row ci, started from the bias:
@@ -2355,16 +2444,15 @@ namespace {
 // machines without AVX-512 run the scalar loop.
 
 // Everything a conv shard reads and writes. `wt` is the weight transposed
-// to [win, c], or null when no shard takes the vector path; `pmask` is
-// null for the plain conv and selects the fused ReLU (mask of positive
-// pre-activations, clamped output) otherwise.
+// to [win, c], or null when no shard takes the vector path; `relu`
+// clamps each output to acc > 0 ? acc : 0, the Relu op's forward.
 struct ConvRowsArgs {
   const float* px;
   const float* pw;
   const float* wt;
   const float* pbias;
   float* po;
-  float* pmask;
+  bool relu;
   int64_t t, e, to, c, win;
 
   // Output row r's input window x[r / to, r % to : r % to + k, :],
@@ -2382,14 +2470,7 @@ void ConvRowsScalar(const ConvRowsArgs& a, int64_t s, int64_t e2) {
       const float* wrow = a.pw + ci * a.win;
       float acc = a.pbias[ci];
       for (int64_t j = 0; j < a.win; ++j) acc += window[j] * wrow[j];
-      const int64_t i = r * a.c + ci;
-      if (a.pmask != nullptr) {
-        const bool on = acc > 0.0f;
-        a.pmask[i] = on ? 1.0f : 0.0f;
-        a.po[i] = on ? acc : 0.0f;
-      } else {
-        a.po[i] = acc;
-      }
+      a.po[r * a.c + ci] = !a.relu || acc > 0.0f ? acc : 0.0f;
     }
   }
 }
@@ -2410,7 +2491,6 @@ struct ConvSliceAvx512 {
                                                      int64_t c0, int64_t len,
                                                      int64_t s, int64_t e2) {
     const __m512 zero = _mm512_setzero_ps();
-    const __m512 one = _mm512_set1_ps(1.0f);
     __mmask16 m[NV];
     __m512 bias[NV];
 #pragma GCC unroll 2
@@ -2450,12 +2530,10 @@ struct ConvSliceAvx512 {
 #pragma GCC unroll 2
         for (int v = 0; v < NV; ++v) {
           __m512 out = acc[i][v];
-          if (a.pmask != nullptr) {
+          if (a.relu) {
             // _CMP_GT_OQ is the scalar `acc > 0.0f`: false for ±0 and NaN.
-            const __mmask16 on = _mm512_cmp_ps_mask(out, zero, _CMP_GT_OQ);
-            _mm512_mask_storeu_ps(a.pmask + off + 16 * v, m[v],
-                                  _mm512_mask_blend_ps(on, zero, one));
-            out = _mm512_mask_blend_ps(on, zero, out);
+            out = _mm512_maskz_mov_ps(
+                _mm512_cmp_ps_mask(out, zero, _CMP_GT_OQ), out);
           }
           _mm512_mask_storeu_ps(a.po + off + 16 * v, m[v], out);
         }
@@ -2499,16 +2577,16 @@ Shape ConvShape(const char* op, const Tensor& x, const Tensor& weight,
   return {x.dim(0), t - kernel_width + 1, c};
 }
 
-// Fills po (and pmask, when non-null) with the conv of the contiguous
-// operands, sharded over output rows.
+// Fills po with the conv of the contiguous operands, clamped by the ReLU
+// when `relu`, sharded over output rows.
 void ConvForward(const Tensor& x, const Tensor& weight, const Tensor& bias,
-                 int64_t kernel_width, float* po, float* pmask) {
+                 int64_t kernel_width, float* po, bool relu) {
   const int64_t b = x.dim(0), t = x.dim(1), e = x.dim(2);
   const int64_t c = weight.dim(0), win = kernel_width * e;
   const int64_t to = t - kernel_width + 1, rows = b * to;
   const int64_t grain = GrainForRows(c * win);
   ConvRowsArgs a{x.data().data(), weight.data().data(), nullptr,
-                 bias.data().data(), po, pmask, t, e, to, c, win};
+                 bias.data().data(), po, relu, t, e, to, c, win};
   // The transposed weight is built only when the longest shard,
   // ceil(rows / shards), takes the vector path.
   std::vector<float> wt;
@@ -2534,7 +2612,7 @@ Tensor Conv1dSeq(const Tensor& x_in, const Tensor& weight_in,
   Tensor bias = Contiguous(bias_in);
   ScopedOpTimer timer(kConv1dSeq);
   std::vector<float> out(static_cast<size_t>(shape[0] * shape[1] * shape[2]));
-  ConvForward(x, weight, bias, kernel_width, out.data(), /*pmask=*/nullptr);
+  ConvForward(x, weight, bias, kernel_width, out.data(), /*relu=*/false);
   return MakeOp(kConv1dSeq, shape, std::move(out), {x, weight, bias});
 }
 
@@ -2555,9 +2633,6 @@ Tensor LinearRelu(const Tensor& x_in, const Tensor& w_in,
   const Reader ra = ReadOf(x.node().get());
   const Reader rb = ReadOf(w.node().get());
   const float* pb = bias.data().data();
-  auto state = std::make_shared<LinearReluState>();
-  state->mask.resize(static_cast<size_t>(m * n));
-  float* pmask = state->mask.data();
   std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
   float* po = out.data();
   const bool vec = UseAvx512() && n >= 16;
@@ -2566,38 +2641,39 @@ Tensor LinearRelu(const Tensor& x_in, const Tensor& w_in,
     MatMulAccumulateRows(ra, rb, po, k, n, s, e, vec);
     for (int64_t i = s; i < e; ++i) {
       float* orow = po + i * n;
-      float* mrow = pmask + i * n;
 #ifdef DTDBD_SIMD_AVX512
       if (vec) {
-        BiasReluRowAvx512(orow, mrow, pb, n);
+        BiasReluRowAvx512(orow, pb, n);
         continue;
       }
 #endif
       for (int64_t j = 0; j < n; ++j) {
         const float pre = orow[j] + pb[j];
-        const bool on = pre > 0.0f;
-        mrow[j] = on ? 1.0f : 0.0f;
-        orow[j] = on ? pre : 0.0f;
+        orow[j] = pre > 0.0f ? pre : 0.0f;
       }
     }
   });
-  return MakeOp(kLinearRelu, {m, n}, std::move(out), {x, w, bias}, state);
+  return MakeOp(kLinearRelu, {m, n}, std::move(out), {x, w, bias});
 }
 
-Tensor Conv1dSeqRelu(const Tensor& x_in, const Tensor& weight_in,
-                     const Tensor& bias_in, int64_t kernel_width) {
+Tensor Conv1dSeqReluMax(const Tensor& x_in, const Tensor& weight_in,
+                        const Tensor& bias_in, int64_t kernel_width) {
   const Shape shape =
-      ConvShape("Conv1dSeqRelu", x_in, weight_in, bias_in, kernel_width);
+      ConvShape("Conv1dSeqReluMax", x_in, weight_in, bias_in, kernel_width);
   Tensor x = Contiguous(x_in);
   Tensor weight = Contiguous(weight_in);
   Tensor bias = Contiguous(bias_in);
-  ScopedOpTimer timer(kConv1dSeqRelu);
-  const size_t n = static_cast<size_t>(shape[0] * shape[1] * shape[2]);
-  std::vector<float> out(n);
-  auto state = std::make_shared<Conv1dSeqReluState>();
-  state->mask.resize(n);
-  ConvForward(x, weight, bias, kernel_width, out.data(), state->mask.data());
-  return MakeOp(kConv1dSeqRelu, shape, std::move(out), {x, weight, bias},
+  ScopedOpTimer timer(kConv1dSeqReluMax);
+  const int64_t b = shape[0], to = shape[1], c = shape[2];
+  // The clamped conv [b, to, c] is scratch: only its max over positions
+  // and the first argmax outlive the call.
+  std::vector<float> tile(static_cast<size_t>(b * to * c));
+  ConvForward(x, weight, bias, kernel_width, tile.data(), /*relu=*/true);
+  std::vector<float> out(static_cast<size_t>(b * c));
+  auto state = std::make_shared<Conv1dSeqReluMaxState>();
+  state->argmax.resize(static_cast<size_t>(b * c));
+  PoolMaxOverTime(tile.data(), b, to, c, out.data(), state->argmax.data());
+  return MakeOp(kConv1dSeqReluMax, {b, c}, std::move(out), {x, weight, bias},
                 state);
 }
 

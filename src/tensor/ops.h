@@ -82,14 +82,23 @@ Tensor EmbeddingGather(const Tensor& table, const std::vector<int>& ids,
                        int64_t batch, int64_t time);
 
 // ----- Frozen encoder forward (text::FrozenEncoder) -----
-// table[V,D], mix_w[2D,D], mix_b[D]; ids row-major [batch, time] ->
-// [batch, time, D] with h_t = tanh(mix_w^T [e_t ; ctx_t] + mix_b), where
-// e_t = table[ids_t] and ctx_t is the mean of the rows of the ids at t-1
-// and t+1 that exist (zero when neither does). Non-differentiable: the
-// output is detached whatever the inputs. Out-of-range ids die with a
-// readable message (callers validate with ValidateTokenIds first).
-Tensor FrozenEncode(const Tensor& table, const Tensor& mix_w,
-                    const Tensor& mix_b, const std::vector<int>& ids,
+// The encoder maps ids row-major [batch, time] to [batch, time, D] with
+// h_t = tanh(mix_w^T [e_t ; ctx_t] + mix_b), where table[V,D],
+// mix_w[2D,D], mix_b[D], e_t = table[ids_t] and ctx_t is the mean of the
+// rows of the ids at t-1 and t+1 that exist (zero when neither does).
+//
+// FrozenTokenMix builds the half of that sum that depends on the token
+// alone: token_mix[v][j] = mix_b[j] + sum_{k<D} table[v][k] * mix_w[k][j],
+// accumulated from mix_b over ascending k. FrozenEncode starts each
+// position's chain from its token's row and continues it over k in
+// [D, 2D) with ctx_t, so the output is bitwise the single-pass chain.
+// Non-differentiable: both outputs are detached whatever the inputs.
+// Out-of-range ids die with a readable message (callers validate with
+// ValidateTokenIds first).
+Tensor FrozenTokenMix(const Tensor& table, const Tensor& mix_w,
+                      const Tensor& mix_b);
+Tensor FrozenEncode(const Tensor& table, const Tensor& token_mix,
+                    const Tensor& mix_w, const std::vector<int>& ids,
                     int64_t batch, int64_t time);
 
 // ----- Convolution over a token sequence (TextCNN) -----
@@ -98,16 +107,19 @@ Tensor Conv1dSeq(const Tensor& x, const Tensor& weight, const Tensor& bias,
                  int64_t kernel_width);
 
 // ----- Fused chains -----
-// Each fused entry point records ONE graph node (one output buffer, saved
-// ReLU mask) and is bitwise identical — forward and backward — to the
-// unfused composition it replaces; those compositions are the test oracles
-// in tests/fused_oracles.h.
+// Each fused entry point records ONE graph node (one output buffer) and is
+// bitwise identical — forward and backward — to the unfused composition it
+// replaces; those compositions are the test oracles in
+// tests/fused_oracles.h.
 //
 // relu(x[m,k] @ w[k,n] + bias[n]); replaces Relu(AddBias(MatMul(x, w), b)).
 Tensor LinearRelu(const Tensor& x, const Tensor& w, const Tensor& bias);
-// relu(Conv1dSeq(x, weight, bias, k)) — the TextCNN expert hot path.
-Tensor Conv1dSeqRelu(const Tensor& x, const Tensor& weight,
-                     const Tensor& bias, int64_t kernel_width);
+// MaxOverTime(Relu(Conv1dSeq(x, weight, bias, k))) -> [B, C]: the
+// TextCNN conv with its max-over-time pooling. The clamped conv is scratch;
+// the node saves only the first argmax of each (b, c), and the backward
+// runs the conv backward from that one position.
+Tensor Conv1dSeqReluMax(const Tensor& x, const Tensor& weight,
+                        const Tensor& bias, int64_t kernel_width);
 // Batched matrix-vector product over time: x[B,T,N] · v (v is [N] or
 // [N,1]) -> [B,T]. Replaces the Reshape -> MatMul -> Reshape chain in
 // attention score computation.

@@ -129,22 +129,45 @@ Status ReadOneTensor(BoundedReader* reader, uint32_t version,
 
 }  // namespace
 
+// Slice-by-8 over the reflected 0xEDB88320 table: table[0] is the
+// bytewise table, and table[k][i] is byte i's CRC followed by k zero
+// bytes, so one step folds 8 input bytes with 8 lookups. Same checksums as
+// the bytewise loop, which still runs the tail.
 uint32_t Crc32(const void* data, size_t n, uint32_t crc) {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
+  using Tables = std::array<std::array<uint32_t, 256>, 8>;
+  static const Tables table = [] {
+    Tables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+      }
     }
     return t;
   }();
   const auto* p = static_cast<const unsigned char*>(data);
+  // Little-endian 32-bit load, whatever the host's byte order.
+  const auto load32 = [](const unsigned char* q) {
+    return uint32_t{q[0]} | uint32_t{q[1]} << 8 | uint32_t{q[2]} << 16 |
+           uint32_t{q[3]} << 24;
+  };
   crc = ~crc;
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = crc ^ load32(p);
+    const uint32_t hi = load32(p + 4);
+    crc = table[7][lo & 0xFFu] ^ table[6][(lo >> 8) & 0xFFu] ^
+          table[5][(lo >> 16) & 0xFFu] ^ table[4][lo >> 24] ^
+          table[3][hi & 0xFFu] ^ table[2][(hi >> 8) & 0xFFu] ^
+          table[1][(hi >> 16) & 0xFFu] ^ table[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    crc = table[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }

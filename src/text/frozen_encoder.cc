@@ -14,12 +14,14 @@ FrozenEncoder::FrozenEncoder(int vocab_size, int64_t dim, uint64_t seed)
                               /*requires_grad=*/false);
   mix_w_ = tensor::XavierInit({2 * dim, dim}, 2 * dim, dim, &rng,
                               /*requires_grad=*/false);
-  mix_b_ = tensor::UniformInit({dim}, 0.1f, &rng, /*requires_grad=*/false);
+  const Tensor mix_b =
+      tensor::UniformInit({dim}, 0.1f, &rng, /*requires_grad=*/false);
+  token_mix_ = tensor::FrozenTokenMix(table_, mix_w_, mix_b);
 }
 
 Tensor FrozenEncoder::Encode(const std::vector<int>& ids, int64_t batch,
                              int64_t time) const {
-  return tensor::FrozenEncode(table_, mix_w_, mix_b_, ids, batch, time);
+  return tensor::FrozenEncode(table_, token_mix_, mix_w_, ids, batch, time);
 }
 
 }  // namespace dtdbd::text

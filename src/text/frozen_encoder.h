@@ -9,8 +9,10 @@
 // setting; see DESIGN.md §1 for the substitution rationale. The kernel is
 // the registered tensor op FrozenEncode (tensor/ops.h), so per-op profiling
 // sees it and its vector path (the mix and an 8-lane tanh, both bitwise
-// equal to the scalar chain) builds without FMA contraction; Encode only
-// supplies the frozen tensors.
+// equal to the scalar chain) builds without FMA contraction. The half of
+// the mix that depends on the token alone is computed once per vocabulary
+// entry at construction (FrozenTokenMix); Encode only supplies the frozen
+// tensors.
 #ifndef DTDBD_TEXT_FROZEN_ENCODER_H_
 #define DTDBD_TEXT_FROZEN_ENCODER_H_
 
@@ -40,7 +42,7 @@ class FrozenEncoder {
   int64_t dim_;
   tensor::Tensor table_;   // [V, dim], frozen
   tensor::Tensor mix_w_;   // [2*dim, dim], frozen context mixer
-  tensor::Tensor mix_b_;   // [dim]
+  tensor::Tensor token_mix_;  // [V, dim]: mix_b + the token half of the mix
 };
 
 }  // namespace dtdbd::text

@@ -87,17 +87,34 @@ bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+// Bitwise equality, except that any two NaNs match. When both operands of
+// an add are NaN, which one propagates depends on the operand order the
+// compiler picks (it may commute a float add), so a NaN's sign and payload
+// are not part of the scalar == SIMD contract.
+bool SameBitsOrBothNan(const std::vector<float>& a,
+                       const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+// `nan_equal` compares with SameBitsOrBothNan instead of BitwiseEqual.
 void ExpectBitwiseEqual(const CaseResult& a, const CaseResult& b,
-                        const std::string& case_name) {
-  EXPECT_TRUE(BitwiseEqual(a.loss, b.loss)) << case_name << ": loss differs";
+                        const std::string& case_name,
+                        bool nan_equal = false) {
+  const auto equal = nan_equal ? SameBitsOrBothNan : BitwiseEqual;
+  EXPECT_TRUE(equal(a.loss, b.loss)) << case_name << ": loss differs";
   ASSERT_EQ(a.outputs.size(), b.outputs.size()) << case_name;
   for (size_t i = 0; i < a.outputs.size(); ++i) {
-    EXPECT_TRUE(BitwiseEqual(a.outputs[i], b.outputs[i]))
+    EXPECT_TRUE(equal(a.outputs[i], b.outputs[i]))
         << case_name << ": output " << i << " differs";
   }
   ASSERT_EQ(a.grads.size(), b.grads.size()) << case_name;
   for (size_t i = 0; i < a.grads.size(); ++i) {
-    EXPECT_TRUE(BitwiseEqual(a.grads[i], b.grads[i]))
+    EXPECT_TRUE(equal(a.grads[i], b.grads[i]))
         << case_name << ": grad of leaf " << i << " differs";
   }
 }
@@ -181,7 +198,8 @@ std::vector<Case> AllCases() {
     Rng id_rng(43);
     std::vector<int> ids(3 * 7);
     for (auto& id : ids) id = static_cast<int>(id_rng.UniformInt(30));
-    Tensor h = FrozenEncode(table, mix_w, mix_b, ids, 3, 7);
+    Tensor h = FrozenEncode(table, FrozenTokenMix(table, mix_w, mix_b), mix_w,
+                            ids, 3, 7);
     Tensor scale = Rand({3, 7, 40}, 44);
     return Built{{scale}, Sum(Mul(h, scale)), {h}};
   }});
@@ -211,7 +229,7 @@ std::vector<Case> AllCases() {
     Tensor seq = Rand({5, 20, 48}, 24);
     Tensor cw = Rand({24, 3 * 48}, 25);
     Tensor cb = Rand({24}, 26);
-    Tensor conv = Conv1dSeqRelu(seq, cw, cb, 3);
+    Tensor conv = Conv1dSeqReluMax(seq, cw, cb, 3);
 
     // Attention chain: fused score + softmax + batched-GEMM pooling.
     Tensor v = Rand({48, 1}, 27);
@@ -356,9 +374,42 @@ Built ConvCase(bool fused, int64_t b, int64_t to, int64_t c, int64_t k,
   Tensor w = Tensor::FromData({c, k * e}, std::move(wv), true);
   Tensor bias = Tensor::FromData({c}, std::move(bv), true);
   Tensor y =
-      fused ? Conv1dSeqRelu(x, w, bias, k) : Conv1dSeq(x, w, bias, k);
+      fused ? Conv1dSeqReluMax(x, w, bias, k) : Conv1dSeq(x, w, bias, k);
   Tensor up = UpstreamWithZeros(y.shape(), seed + 3);
   return Built{{x, w, bias}, Sum(Mul(y, up)), {y}};
+}
+
+// The pooling's edge cases: sequence 0 repeats one token, so every
+// position ties and the argmax is 0; sequence 1 (when b > 1) has period 2;
+// channels ci % 4 == 0 have bias -100, so no position is positive (pooled
+// 0, argmax 0, ReLU mask 0); every other upstream grad is +-0, +-Inf or
+// NaN, which the mask turns into NaN where it is 0.
+Built ConvReluMaxEdgeCase(int64_t b, int64_t to, int64_t c, int64_t k,
+                          int64_t e, uint64_t seed) {
+  const int64_t t = to + k - 1;
+  std::vector<float> xv = Rand({b, t, e}, seed, false).ToVector();
+  for (int64_t ti = 0; ti < t; ++ti) {
+    for (int64_t j = 0; j < e; ++j) {
+      xv[ti * e + j] = xv[j];
+      if (b > 1) xv[(t + ti) * e + j] = xv[(t + ti % 2) * e + j];
+    }
+  }
+  std::vector<float> bv = Rand({c}, seed + 1, false).ToVector();
+  for (int64_t ci = 0; ci < c; ci += 4) bv[ci] = -100.0f;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f, -0.0f, inf, -inf,
+                            std::numeric_limits<float>::quiet_NaN()};
+  std::vector<float> up = Rand({b, c}, seed + 2, false).ToVector();
+  for (size_t i = 0; i < up.size(); i += 2) {
+    up[i] = specials[(i / 2) % std::size(specials)];
+  }
+  Tensor x = Tensor::FromData({b, t, e}, std::move(xv), true);
+  Tensor w = Rand({c, k * e}, seed + 3);
+  Tensor bias = Tensor::FromData({c}, std::move(bv), true);
+  Tensor y = Conv1dSeqReluMax(x, w, bias, k);
+  return Built{{x, w, bias},
+               Sum(Mul(y, Tensor::FromData({b, c}, std::move(up)))),
+               {y}};
 }
 
 std::vector<Case> ConvSweepCases() {
@@ -374,7 +425,7 @@ std::vector<Case> ConvSweepCases() {
         for (int64_t k = 1; k <= 5; ++k) {
           const int64_t e = std::array<int64_t, 3>{3, 8, 17}[(rows + k) % 3];
           const std::string name =
-              std::string(fused ? "Conv1dSeqRelu" : "Conv1dSeq") +
+              std::string(fused ? "Conv1dSeqReluMax" : "Conv1dSeq") +
               " rows=" + std::to_string(rows) + " C=" + std::to_string(c) +
               " k=" + std::to_string(k) + " E=" + std::to_string(e) +
               " B=" + std::to_string(b);
@@ -395,7 +446,7 @@ std::vector<Case> ConvSweepCases() {
         for (int64_t e : {1, 8, 12, 16, 17, 32}) {
           for (int64_t b = 1; b <= 3; ++b) {
             const std::string name =
-                std::string(fused ? "Conv1dSeqRelu" : "Conv1dSeq") +
+                std::string(fused ? "Conv1dSeqReluMax" : "Conv1dSeq") +
                 " C=" + std::to_string(c) + " k=" + std::to_string(k) +
                 " E=" + std::to_string(e) + " B=" + std::to_string(b);
             const uint64_t seed = static_cast<uint64_t>(
@@ -405,12 +456,35 @@ std::vector<Case> ConvSweepCases() {
               Tensor x = Rand({b, t, e}, seed);
               Tensor w = Rand({c, k * e}, seed + 1);
               Tensor bias = Rand({c}, seed + 2);
-              Tensor y = fused ? Conv1dSeqRelu(x, w, bias, k)
+              Tensor y = fused ? Conv1dSeqReluMax(x, w, bias, k)
                                : Conv1dSeq(x, w, bias, k);
               Tensor up = UpstreamWithZeros(y.shape(), seed + 3);
               return Built{{x, w, bias}, Sum(Mul(y, up)), {y}};
             }});
           }
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+std::vector<Case> ConvReluMaxEdgeCases() {
+  std::vector<Case> cases;
+  for (int64_t b : {1, 3}) {
+    for (int64_t to : {1, 4, 20}) {
+      for (int64_t c : {1, 12, 17, 33}) {
+        for (int64_t k : {1, 2, 5}) {
+          const int64_t e = (to + c) % 2 ? 3 : 17;
+          const std::string name =
+              "Conv1dSeqReluMax edges B=" + std::to_string(b) +
+              " to=" + std::to_string(to) + " C=" + std::to_string(c) +
+              " k=" + std::to_string(k) + " E=" + std::to_string(e);
+          const uint64_t seed =
+              static_cast<uint64_t>((((b * 32 + to) * 40 + c) * 8 + k) * 4);
+          cases.push_back({name, [=] {
+            return ConvReluMaxEdgeCase(b, to, c, k, e, seed);
+          }});
         }
       }
     }
@@ -444,25 +518,30 @@ std::vector<Case> PairwiseSweepCases() {
   return cases;
 }
 
-std::vector<Case> FrozenEncodeSweepCases() {
-  std::vector<Case> cases;
+// The frozen encoder's operands for one sweep case.
+struct EncodeCase {
+  std::string name;
+  Tensor table, mix_w, mix_b;
+  std::vector<int> ids;
+  int64_t batch, time;
+  uint64_t seed;
+};
+
+std::vector<EncodeCase> FrozenEncodeCases() {
+  std::vector<EncodeCase> cases;
   for (int64_t d = 1; d <= 33; ++d) {
     for (int64_t t = 1; t <= 5; ++t) {
-      const std::string name =
-          "FrozenEncode D=" + std::to_string(d) + " T=" + std::to_string(t);
       const uint64_t seed = static_cast<uint64_t>(d * 8 + t);
-      cases.push_back({name, [=] {
-        Tensor table = Rand({11, d}, seed, /*requires_grad=*/false);
-        Tensor mix_w = Rand({2 * d, d}, seed + 1, /*requires_grad=*/false);
-        Tensor mix_b = Rand({d}, seed + 2, /*requires_grad=*/false);
-        std::vector<int> ids(static_cast<size_t>(2 * t));
-        for (size_t i = 0; i < ids.size(); ++i) {
-          ids[i] = static_cast<int>((i * 5 + static_cast<size_t>(d)) % 11);
-        }
-        Tensor h = FrozenEncode(table, mix_w, mix_b, ids, 2, t);
-        Tensor scale = Rand({2, t, d}, seed + 3);
-        return Built{{scale}, Sum(Mul(h, scale)), {h}};
-      }});
+      std::vector<int> ids(static_cast<size_t>(2 * t));
+      for (size_t i = 0; i < ids.size(); ++i) {
+        ids[i] = static_cast<int>((i * 5 + static_cast<size_t>(d)) % 11);
+      }
+      cases.push_back({"FrozenEncode D=" + std::to_string(d) +
+                           " T=" + std::to_string(t),
+                       Rand({11, d}, seed, /*requires_grad=*/false),
+                       Rand({2 * d, d}, seed + 1, /*requires_grad=*/false),
+                       Rand({d}, seed + 2, /*requires_grad=*/false),
+                       std::move(ids), 2, t, seed});
     }
   }
   // Pre-activations the vector tanh hands to the scalar port (+0, tiny,
@@ -477,31 +556,42 @@ std::vector<Case> FrozenEncodeSweepCases() {
                             -std::numeric_limits<float>::infinity(),
                             std::numeric_limits<float>::quiet_NaN()};
   for (int64_t d : {7, 13, 20, 32, 40}) {
-    const std::string name = "FrozenEncode fallback lanes D=" +
-                             std::to_string(d);
     const uint64_t seed = static_cast<uint64_t>(d * 8 + 7000);
-    cases.push_back({name, [=] {
-      Tensor table = Rand({11, d}, seed, /*requires_grad=*/false);
-      std::vector<float> w = Rand({2 * d, d}, seed + 1, false).ToVector();
-      std::vector<float> b = Rand({d}, seed + 2, false).ToVector();
-      for (int64_t j = 2, s = 0; j < std::min<int64_t>(d, 16); j += 3, ++s) {
-        b[j] = specials[(s + d) % std::size(specials)];
-        for (int64_t k = 0; k < 2 * d; ++k) w[k * d + j] = 0.0f;
-      }
-      std::vector<int> ids(12);
-      for (size_t i = 0; i < ids.size(); ++i) {
-        ids[i] = static_cast<int>((i * 7 + static_cast<size_t>(d)) % 11);
-      }
-      Tensor h = FrozenEncode(table, Tensor::FromData({2 * d, d}, w),
-                              Tensor::FromData({d}, b), ids, 3, 4);
-      Tensor scale = Rand({3, 4, d}, seed + 3);
+    std::vector<float> w = Rand({2 * d, d}, seed + 1, false).ToVector();
+    std::vector<float> b = Rand({d}, seed + 2, false).ToVector();
+    for (int64_t j = 2, s = 0; j < std::min<int64_t>(d, 16); j += 3, ++s) {
+      b[j] = specials[(s + d) % std::size(specials)];
+      for (int64_t k = 0; k < 2 * d; ++k) w[k * d + j] = 0.0f;
+    }
+    std::vector<int> ids(12);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ids[i] = static_cast<int>((i * 7 + static_cast<size_t>(d)) % 11);
+    }
+    cases.push_back({"FrozenEncode fallback lanes D=" + std::to_string(d),
+                     Rand({11, d}, seed, /*requires_grad=*/false),
+                     Tensor::FromData({2 * d, d}, std::move(w)),
+                     Tensor::FromData({d}, std::move(b)), std::move(ids), 3,
+                     4, seed});
+  }
+  return cases;
+}
+
+std::vector<Case> FrozenEncodeSweepCases() {
+  std::vector<Case> cases;
+  for (const EncodeCase& ec : FrozenEncodeCases()) {
+    cases.push_back({ec.name, [ec] {
+      Tensor h = FrozenEncode(ec.table,
+                              FrozenTokenMix(ec.table, ec.mix_w, ec.mix_b),
+                              ec.mix_w, ec.ids, ec.batch, ec.time);
+      Tensor scale = Rand(h.shape(), ec.seed + 3);
       return Built{{scale}, Sum(Mul(h, scale)), {h}};
     }});
   }
   return cases;
 }
 
-void ExpectSweepMatchesScalarOracle(const std::vector<Case>& cases) {
+void ExpectSweepMatchesScalarOracle(const std::vector<Case>& cases,
+                                    bool nan_equal = false) {
   KernelPool pool1(1), pool2(2), pool4(4), pool8(8);
   for (const Case& c : cases) {
     CaseResult scalar;
@@ -516,7 +606,7 @@ void ExpectSweepMatchesScalarOracle(const std::vector<Case>& cases) {
       const CaseResult vec = RunCase(c);
       SCOPED_TRACE(c.name +
                    " pool=" + std::to_string(pool->nthreads()));
-      ExpectBitwiseEqual(scalar, vec, c.name);
+      ExpectBitwiseEqual(scalar, vec, c.name, nan_equal);
     }
   }
 }
@@ -525,12 +615,41 @@ TEST_F(BackendConsistencyTest, ConvBackwardSweepMatchesScalarOracle) {
   ExpectSweepMatchesScalarOracle(ConvSweepCases());
 }
 
+// The +-Inf and NaN upstream grads make NaN gradients from two sources
+// (the NaN itself and Inf * 0), so NaNs match whatever their bits.
+TEST_F(BackendConsistencyTest, ConvReluMaxEdgeSweepMatchesScalarOracle) {
+  ExpectSweepMatchesScalarOracle(ConvReluMaxEdgeCases(), /*nan_equal=*/true);
+}
+
 TEST_F(BackendConsistencyTest, PairwiseDistancesSweepMatchesScalarOracle) {
   ExpectSweepMatchesScalarOracle(PairwiseSweepCases());
 }
 
 TEST_F(BackendConsistencyTest, FrozenEncodeSweepMatchesScalarOracle) {
   ExpectSweepMatchesScalarOracle(FrozenEncodeSweepCases());
+}
+
+// The token-table route (FrozenTokenMix, then FrozenEncode's context half)
+// against the single-pass chain, with SIMD off and on: same bits.
+TEST_F(BackendConsistencyTest, FrozenEncodeMatchesSinglePassOracle) {
+  for (const EncodeCase& ec : FrozenEncodeCases()) {
+    std::vector<float> oracle;
+    {
+      ScopedSimd simd(false);
+      oracle = ::dtdbd::testing::FrozenEncodeOracle(
+                   ec.table, ec.mix_w, ec.mix_b, ec.ids, ec.batch, ec.time)
+                   .ToVector();
+    }
+    for (bool on : {false, true}) {
+      ScopedSimd simd(on);
+      const Tensor mix = FrozenTokenMix(ec.table, ec.mix_w, ec.mix_b);
+      EXPECT_TRUE(BitwiseEqual(
+          FrozenEncode(ec.table, mix, ec.mix_w, ec.ids, ec.batch, ec.time)
+              .ToVector(),
+          oracle))
+          << ec.name << (on ? " simd" : " scalar");
+    }
+  }
 }
 
 // ----- tanh: the 8-lane AVX2 kernel against the scalar port -----

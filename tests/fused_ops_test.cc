@@ -1,4 +1,4 @@
-// Fused-op parity suite: each fused op (LinearRelu, Conv1dSeqRelu,
+// Fused-op parity suite: each fused op (LinearRelu, Conv1dSeqReluMax,
 // MatVecOverTime, SoftmaxCrossEntropy, SoftmaxKl) must produce BITWISE
 // identical losses AND gradients to the unfused composition it replaces —
 // at every thread count. The compositions are the oracles in
@@ -11,6 +11,8 @@
 // depend on traversal order rather than kernel math.
 #include <cstring>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -29,7 +31,7 @@
 namespace dtdbd::tensor {
 namespace {
 
-using ::dtdbd::testing::Conv1dSeqReluOracle;
+using ::dtdbd::testing::Conv1dSeqReluMaxOracle;
 using ::dtdbd::testing::CrossEntropyOracle;
 using ::dtdbd::testing::DistillKlOracle;
 using ::dtdbd::testing::LinearReluOracle;
@@ -118,16 +120,53 @@ TEST_F(FusedOpsTest, LinearReluMatchesUnfusedBitwise) {
       "LinearRelu");
 }
 
-TEST_F(FusedOpsTest, Conv1dSeqReluMatchesUnfusedBitwise) {
+TEST_F(FusedOpsTest, Conv1dSeqReluMaxMatchesUnfusedBitwise) {
   CheckFusedParity(
       [](bool fused) {
         Tensor x = Rand({5, 20, 48}, 4);
         Tensor w = Rand({24, 3 * 48}, 5);
         Tensor b = Rand({24}, 6);
-        return Graph{{x, w, b}, Sum(fused ? Conv1dSeqRelu(x, w, b, 3)
-                                          : Conv1dSeqReluOracle(x, w, b, 3))};
+        return Graph{{x, w, b},
+                     Sum(fused ? Conv1dSeqReluMax(x, w, b, 3)
+                               : Conv1dSeqReluMaxOracle(x, w, b, 3))};
       },
-      "Conv1dSeqRelu");
+      "Conv1dSeqReluMax");
+}
+
+// The pooling's edge cases against the oracle: ties (sequence 0 repeats
+// one token, so every position ties; sequence 1 has period 2), columns
+// with no positive pre-activation (a bias of -100: pooled 0, argmax 0,
+// ReLU mask 0 at the argmax), and upstream grads of +-0, +-Inf and NaN,
+// which the mask turns into NaN where it is 0.
+TEST_F(FusedOpsTest, Conv1dSeqReluMaxEdgeCasesMatchUnfusedBitwise) {
+  CheckFusedParity(
+      [](bool fused) {
+        const int64_t b = 3, t = 9, e = 5, c = 20, k = 2;
+        std::vector<float> xv = Rand({b, t, e}, 40, false).ToVector();
+        for (int64_t ti = 0; ti < t; ++ti) {
+          for (int64_t j = 0; j < e; ++j) {
+            xv[ti * e + j] = xv[j];                           // sequence 0
+            xv[(t + ti) * e + j] = xv[(t + ti % 2) * e + j];  // sequence 1
+          }
+        }
+        std::vector<float> bv = Rand({c}, 41, false).ToVector();
+        for (int64_t ci = 0; ci < c; ci += 4) bv[ci] = -100.0f;
+        const float inf = std::numeric_limits<float>::infinity();
+        const float specials[] = {0.0f, -0.0f, inf, -inf,
+                                  std::numeric_limits<float>::quiet_NaN()};
+        std::vector<float> up = Rand({b, c}, 42, false).ToVector();
+        for (size_t i = 0; i < up.size(); i += 2) {
+          up[i] = specials[(i / 2) % std::size(specials)];
+        }
+        Tensor x = Tensor::FromData({b, t, e}, std::move(xv), true);
+        Tensor w = Rand({c, k * e}, 43);
+        Tensor bias = Tensor::FromData({c}, std::move(bv), true);
+        Tensor y = fused ? Conv1dSeqReluMax(x, w, bias, k)
+                         : Conv1dSeqReluMaxOracle(x, w, bias, k);
+        return Graph{{x, w, bias},
+                     Sum(Mul(y, Tensor::FromData({b, c}, std::move(up))))};
+      },
+      "Conv1dSeqReluMax");
 }
 
 TEST_F(FusedOpsTest, MatVecOverTimeMatchesUnfusedBitwise) {
@@ -215,11 +254,11 @@ TEST_F(FusedOpsTest, LinearReluGradcheck) {
   ::dtdbd::testing::ExpectGradMatchesNumeric(b, forward);
 }
 
-TEST_F(FusedOpsTest, Conv1dSeqReluGradcheck) {
+TEST_F(FusedOpsTest, Conv1dSeqReluMaxGradcheck) {
   Tensor x = Rand({2, 7, 5}, 22);
   Tensor w = Rand({4, 2 * 5}, 23);
   Tensor b = Tensor::Full({4}, 0.4f, /*requires_grad=*/true);
-  const auto forward = [&] { return Sum(Conv1dSeqRelu(x, w, b, 2)); };
+  const auto forward = [&] { return Sum(Conv1dSeqReluMax(x, w, b, 2)); };
   ::dtdbd::testing::ExpectGradMatchesNumeric(x, forward);
   ::dtdbd::testing::ExpectGradMatchesNumeric(w, forward);
   ::dtdbd::testing::ExpectGradMatchesNumeric(b, forward);

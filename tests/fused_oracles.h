@@ -5,6 +5,7 @@
 #ifndef DTDBD_TESTS_FUSED_ORACLES_H_
 #define DTDBD_TESTS_FUSED_ORACLES_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "tensor/loss.h"
@@ -20,12 +21,56 @@ inline tensor::Tensor LinearReluOracle(const tensor::Tensor& x,
   return tensor::Relu(tensor::AddBias(tensor::MatMul(x, w), bias));
 }
 
-// Oracle for Conv1dSeqRelu.
-inline tensor::Tensor Conv1dSeqReluOracle(const tensor::Tensor& x,
-                                          const tensor::Tensor& weight,
-                                          const tensor::Tensor& bias,
-                                          int64_t kernel_width) {
-  return tensor::Relu(tensor::Conv1dSeq(x, weight, bias, kernel_width));
+// Oracle for Conv1dSeqReluMax.
+inline tensor::Tensor Conv1dSeqReluMaxOracle(const tensor::Tensor& x,
+                                             const tensor::Tensor& weight,
+                                             const tensor::Tensor& bias,
+                                             int64_t kernel_width) {
+  return tensor::MaxOverTime(
+      tensor::Relu(tensor::Conv1dSeq(x, weight, bias, kernel_width)));
+}
+
+// Oracle for FrozenEncode over FrozenTokenMix's table: each position's
+// pre-activation as one chain, mix_b[j] + sum_k cat[k] * mix_w[k][j] over
+// ascending k in [0, 2D) with cat = [e_t ; ctx_t], then the Tanh op (the
+// library's one tanh).
+inline tensor::Tensor FrozenEncodeOracle(const tensor::Tensor& table,
+                                         const tensor::Tensor& mix_w,
+                                         const tensor::Tensor& mix_b,
+                                         const std::vector<int>& ids,
+                                         int64_t batch, int64_t time) {
+  const int64_t d = table.dim(1);
+  const std::vector<float> tab = table.ToVector();
+  const std::vector<float> w = mix_w.ToVector();
+  const std::vector<float> b = mix_b.ToVector();
+  std::vector<float> pre(static_cast<size_t>(batch * time * d));
+  std::vector<float> cat(static_cast<size_t>(2 * d));
+  for (int64_t bi = 0; bi < batch; ++bi) {
+    for (int64_t ti = 0; ti < time; ++ti) {
+      const auto row = [&](int64_t tn) {
+        return tab.begin() + ids[static_cast<size_t>(bi * time + tn)] * d;
+      };
+      std::copy_n(row(ti), d, cat.begin());
+      std::fill_n(cat.begin() + d, d, 0.0f);
+      int count = 0;
+      for (int64_t tn : {ti - 1, ti + 1}) {
+        if (tn < 0 || tn >= time) continue;
+        for (int64_t j = 0; j < d; ++j) cat[d + j] += row(tn)[j];
+        ++count;
+      }
+      if (count > 0) {
+        const float inv = 1.0f / static_cast<float>(count);
+        for (int64_t j = 0; j < d; ++j) cat[d + j] *= inv;
+      }
+      float* out = pre.data() + (bi * time + ti) * d;
+      std::copy_n(b.begin(), d, out);
+      for (int64_t k = 0; k < 2 * d; ++k) {
+        for (int64_t j = 0; j < d; ++j) out[j] += cat[k] * w[k * d + j];
+      }
+    }
+  }
+  return tensor::Tanh(
+      tensor::Tensor::FromData({batch, time, d}, std::move(pre)));
 }
 
 // Oracle for MatVecOverTime: x[B,T,N] flattened to rows, times v as [N,1].

@@ -1,6 +1,8 @@
 #include "tensor/ops.h"
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -146,6 +148,101 @@ TEST(OpsTest, Conv1dSeqKnownValues) {
   EXPECT_EQ(y.shape(), (Shape{1, 2, 1}));
   EXPECT_FLOAT_EQ(y.at(0), 1 * 1 + 2 * 2 + 0.5f);
   EXPECT_FLOAT_EQ(y.at(1), 2 * 1 + 3 * 2 + 0.5f);
+}
+
+// The conv backward's per-element order as the dense loops: gw[ci] and
+// gb[ci] accumulate over (bi, o) ascending, and each gx window row over
+// (o, ci) ascending, skipping zero output grads. g is [b, to, c].
+struct ConvGrads {
+  std::vector<float> gx, gw, gb;
+};
+
+ConvGrads DenseConvBackward(const std::vector<float>& x,
+                            const std::vector<float>& w,
+                            const std::vector<float>& g, int64_t b, int64_t t,
+                            int64_t e, int64_t c, int64_t k) {
+  const int64_t to = t - k + 1, win = k * e;
+  ConvGrads r{std::vector<float>(b * t * e), std::vector<float>(c * win),
+              std::vector<float>(c)};
+  for (int64_t ci = 0; ci < c; ++ci) {
+    for (int64_t bi = 0; bi < b; ++bi) {
+      for (int64_t o = 0; o < to; ++o) {
+        const float a = g[(bi * to + o) * c + ci];
+        if (a == 0.0f) continue;
+        r.gb[ci] += a;
+        for (int64_t j = 0; j < win; ++j) {
+          r.gw[ci * win + j] += a * x[(bi * t + o) * e + j];
+        }
+      }
+    }
+  }
+  for (int64_t bi = 0; bi < b; ++bi) {
+    for (int64_t o = 0; o < to; ++o) {
+      for (int64_t ci = 0; ci < c; ++ci) {
+        const float a = g[(bi * to + o) * c + ci];
+        if (a == 0.0f) continue;
+        for (int64_t j = 0; j < win; ++j) {
+          r.gx[(bi * t + o) * e + j] += a * w[ci * win + j];
+        }
+      }
+    }
+  }
+  return r;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Conv1dSeq, and Conv1dSeqReluMax, whose dense output grad is
+// (0 + g) * m + 0 at the first argmax of each (bi, ci), m the ReLU mask
+// there, and 0 elsewhere: both ops' gradients equal the dense loops' bits.
+TEST(OpsTest, ConvBackwardMatchesDenseLoopOrder) {
+  const int64_t b = 3, t = 9, e = 5, c = 7, k = 3, to = t - k + 1;
+  Rng rng(11);
+  const auto normal = [&rng](int64_t n) {
+    std::vector<float> v(static_cast<size_t>(n));
+    for (float& f : v) f = static_cast<float>(rng.Normal());
+    return v;
+  };
+  const std::vector<float> xv = normal(b * t * e), wv = normal(c * k * e),
+                           bv = normal(c);
+  const auto check = [&](bool fused, const std::vector<float>& up) {
+    Tensor x = Tensor::FromData({b, t, e}, xv, true);
+    Tensor w = Tensor::FromData({c, k * e}, wv, true);
+    Tensor bias = Tensor::FromData({c}, bv, true);
+    Tensor y =
+        fused ? Conv1dSeqReluMax(x, w, bias, k) : Conv1dSeq(x, w, bias, k);
+    Sum(Mul(y, Tensor::FromData(y.shape(), up))).Backward();
+    std::vector<float> dense = up;
+    if (fused) {
+      const std::vector<float> pre =
+          Conv1dSeq(x, w, bias, k).Detach().ToVector();
+      dense.assign(static_cast<size_t>(b * to * c), 0.0f);
+      for (int64_t bi = 0; bi < b; ++bi) {
+        for (int64_t ci = 0; ci < c; ++ci) {
+          const auto relu = [&](int64_t o) {
+            const float v = pre[(bi * to + o) * c + ci];
+            return v > 0.0f ? v : 0.0f;
+          };
+          int64_t arg = 0;
+          for (int64_t o = 1; o < to; ++o) {
+            if (relu(o) > relu(arg)) arg = o;
+          }
+          const float m = relu(arg) > 0.0f ? 1.0f : 0.0f;
+          dense[(bi * to + arg) * c + ci] =
+              (0.0f + up[bi * c + ci]) * m + 0.0f;
+        }
+      }
+    }
+    const ConvGrads ref = DenseConvBackward(xv, wv, dense, b, t, e, c, k);
+    EXPECT_TRUE(SameBits(x.grad(), ref.gx)) << (fused ? "fused" : "conv");
+    EXPECT_TRUE(SameBits(w.grad(), ref.gw)) << (fused ? "fused" : "conv");
+    EXPECT_TRUE(SameBits(bias.grad(), ref.gb)) << (fused ? "fused" : "conv");
+  };
+  check(false, normal(b * to * c));
+  check(true, normal(b * c));
 }
 
 TEST(OpsTest, GradReverseIdentityForwardNegativeBackward) {

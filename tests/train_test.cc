@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -472,6 +473,41 @@ TEST(Crc32Test, KnownVectorAndChaining) {
   // Chained CRC over split input equals CRC over the concatenation.
   uint32_t part = tensor::Crc32(s, 4);
   EXPECT_EQ(tensor::Crc32(s + 4, 5, part), 0xCBF43926u);
+}
+
+// The bytewise reflected CRC-32 loop, the reference for the slice-by-8
+// kernel.
+uint32_t Crc32Bytewise(const unsigned char* p, size_t n, uint32_t crc) {
+  crc = ~crc;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBytewiseLoopOverLengthsAndOffsets) {
+  Rng rng(2024);
+  std::vector<unsigned char> buf(4096 + 16);
+  for (auto& byte : buf) byte = static_cast<unsigned char>(rng.UniformInt(256));
+  // Every length through 64 at every offset mod 8, then random spans.
+  for (size_t len = 0; len <= 64; ++len) {
+    for (size_t off = 0; off < 8; ++off) {
+      EXPECT_EQ(tensor::Crc32(buf.data() + off, len),
+                Crc32Bytewise(buf.data() + off, len, 0))
+          << "len " << len << " offset " << off;
+    }
+  }
+  for (int i = 0; i < 200; ++i) {
+    const size_t off = static_cast<size_t>(rng.UniformInt(16));
+    const size_t len = static_cast<size_t>(rng.UniformInt(4096));
+    const uint32_t seed = static_cast<uint32_t>(rng.UniformInt(1 << 30));
+    EXPECT_EQ(tensor::Crc32(buf.data() + off, len, seed),
+              Crc32Bytewise(buf.data() + off, len, seed))
+        << "len " << len << " offset " << off;
+  }
 }
 
 TEST(SerializeHardeningTest, AbsurdNameLengthRejectedWithoutAllocation) {
