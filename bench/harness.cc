@@ -4,14 +4,10 @@
 #include <cstdlib>
 
 #include "common/table.h"
-#include "common/thread_pool.h"
 
 namespace dtdbd::bench {
 
 Profile ProfileFromFlags(const FlagParser& flags) {
-  // Every bench binary accepts --threads=N (DTDBD_NUM_THREADS env as
-  // fallback); results are bitwise identical for any thread count.
-  InitThreadsFromFlags(flags);
   Profile profile;
   if (flags.GetBool("full", false)) {
     profile.scale = 1.0;

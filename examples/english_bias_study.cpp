@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "common/flags.h"
-#include "common/thread_pool.h"
 #include "common/table.h"
 #include "data/generator.h"
 #include "dtdbd/dat.h"
@@ -22,7 +21,6 @@
 int main(int argc, char** argv) {
   using namespace dtdbd;
   FlagParser flags(argc, argv);
-  InitThreadsFromFlags(flags);  // --threads=N / DTDBD_NUM_THREADS
   const double scale = flags.GetDouble("scale", 0.2);
   const int epochs = flags.GetInt("epochs", 10);
 

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "common/thread_pool.h"
 #include "data/generator.h"
 #include "models/model.h"
 #include "net/client.h"
@@ -99,7 +98,6 @@ void PrintModels(const serve::HealthReport& health) {
 
 int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  InitThreadsFromFlags(flags);
   const int num_requests = flags.GetInt("requests", 200);
   const int percent = flags.GetInt("percent", 25);
 

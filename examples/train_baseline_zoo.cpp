@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "common/flags.h"
-#include "common/thread_pool.h"
 #include "common/table.h"
 #include "data/generator.h"
 #include "dtdbd/trainer.h"
@@ -32,7 +31,6 @@ std::vector<std::string> SplitCsv(const std::string& csv) {
 int main(int argc, char** argv) {
   using namespace dtdbd;
   FlagParser flags(argc, argv);
-  InitThreadsFromFlags(flags);  // --threads=N / DTDBD_NUM_THREADS
   const double scale = flags.GetDouble("scale", 0.3);
   const int epochs = flags.GetInt("epochs", 8);
   const std::vector<std::string> model_names = SplitCsv(flags.GetString(

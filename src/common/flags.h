@@ -32,8 +32,8 @@ class FlagParser {
   std::vector<std::string> positional_;
 };
 
-// Strict positive-integer parse behind --threads / DTDBD_NUM_THREADS (whose
-// unset default is the hardware thread count, so it is not a Knob row): the
+// Strict positive-integer parse behind DTDBD_NUM_THREADS (whose unset
+// default is the hardware thread count, so it is not a Knob row): the
 // whole string must be a positive decimal integer that fits in int. Returns
 // false for "", "abc", "4x", " 4", "0", "-3", and out-of-range values, so a
 // caller can warn and fall back instead of silently accepting a prefix (the

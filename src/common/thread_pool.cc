@@ -6,8 +6,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,8 +23,8 @@ namespace {
 // calls degrade to inline execution instead of deadlocking on the pool.
 thread_local bool t_in_parallel_region = false;
 
-// Ambient dispatch context installed by ScopedKernelPool; nullptr routes to
-// the process-wide pool.
+// Ambient dispatch context installed by ScopedKernelPool; nullptr runs
+// every ParallelFor inline on the calling thread.
 thread_local const KernelPool* t_ambient_pool = nullptr;
 
 }  // namespace
@@ -131,28 +131,7 @@ class PoolImpl {
 
 }  // namespace internal
 
-namespace {
-
-std::unique_ptr<internal::PoolImpl> g_pool;  // null until first use
-int g_num_threads = 0;                       // 0 = not yet initialized
-
-void EnsurePool() {
-  if (g_num_threads == 0) {
-    g_num_threads = DefaultNumThreads();
-  }
-  if (!g_pool && g_num_threads > 1) {
-    g_pool = std::make_unique<internal::PoolImpl>(g_num_threads);
-  }
-}
-
-int HardwareThreads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-}  // namespace
-
-int DefaultNumThreads() {
+int GetNumThreads() {
   if (const char* env = std::getenv("DTDBD_NUM_THREADS")) {
     int n = 0;
     if (ParsePositiveInt(env, &n)) return n;
@@ -160,39 +139,8 @@ int DefaultNumThreads() {
                        << "' is not a positive integer; using 1 thread";
     return 1;
   }
-  return HardwareThreads();
-}
-
-int GetNumThreads() {
-  if (g_num_threads == 0) g_num_threads = DefaultNumThreads();
-  return g_num_threads;
-}
-
-void SetNumThreads(int n) {
-  DTDBD_CHECK(!t_in_parallel_region)
-      << "SetNumThreads inside a ParallelFor body";
-  const int want = n <= 0 ? DefaultNumThreads() : n;
-  if (want == g_num_threads && (g_pool || want == 1)) return;
-  g_pool.reset();
-  g_num_threads = want;
-  if (want > 1) g_pool = std::make_unique<internal::PoolImpl>(want);
-}
-
-int InitThreadsFromFlags(const FlagParser& flags) {
-  if (flags.Has("threads")) {
-    const std::string value = flags.GetString("threads", "");
-    int n = 0;
-    if (ParsePositiveInt(value.c_str(), &n)) {
-      SetNumThreads(n);
-    } else {
-      DTDBD_LOG(Warning) << "--threads '" << value
-                         << "' is not a positive integer; using 1 thread";
-      SetNumThreads(1);
-    }
-  } else {
-    SetNumThreads(DefaultNumThreads());
-  }
-  return GetNumThreads();
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
 KernelPool::KernelPool(int nthreads)
@@ -213,22 +161,14 @@ ScopedKernelPool::~ScopedKernelPool() { t_ambient_pool = previous_; }
 
 const KernelPool* CurrentKernelPool() { return t_ambient_pool; }
 
-namespace {
-
-// Shards ParallelFor cuts [0, n) into at `threads` threads: one (inline)
-// when a single thread, a nested call or one grain covers the range.
-int ShardCount(int64_t n, int64_t grain, int threads) {
+// One shard (inline) when no ambient pool is installed, the pool has a
+// single thread, the call is nested, or one grain covers the range.
+int ParallelForShards(int64_t n, int64_t grain) {
+  const KernelPool* ambient = t_ambient_pool;
+  const int threads = ambient != nullptr ? ambient->nthreads() : 1;
   grain = std::max<int64_t>(grain, 1);
   if (threads == 1 || t_in_parallel_region || n <= grain) return 1;
   return static_cast<int>(std::min<int64_t>(threads, (n + grain - 1) / grain));
-}
-
-}  // namespace
-
-int ParallelForShards(int64_t n, int64_t grain) {
-  const KernelPool* ambient = t_ambient_pool;
-  return ShardCount(n, grain,
-                    ambient != nullptr ? ambient->nthreads() : GetNumThreads());
 }
 
 namespace internal {
@@ -236,23 +176,12 @@ namespace internal {
 void ParallelForImpl(int64_t n, int64_t grain, void* ctx,
                      void (*fn)(void* ctx, int64_t begin, int64_t end)) {
   if (n <= 0) return;
-  const KernelPool* ambient = t_ambient_pool;
-  int threads;
-  PoolImpl* pool;
-  if (ambient != nullptr) {
-    threads = ambient->nthreads();
-    pool = ambient->impl();
-  } else {
-    EnsurePool();
-    threads = g_num_threads;
-    pool = g_pool.get();
-  }
-  const int shards = ShardCount(n, grain, threads);
+  const int shards = ParallelForShards(n, grain);
   if (shards <= 1) {
     fn(ctx, 0, n);
     return;
   }
-  pool->Run(shards, [&](int s) {
+  t_ambient_pool->impl()->Run(shards, [&](int s) {
     t_in_parallel_region = true;
     const int64_t begin = n * s / shards;
     const int64_t end = n * (s + 1) / shards;

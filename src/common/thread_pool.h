@@ -10,14 +10,13 @@
 // identical for every thread count, including 1 — which is what the
 // backend-consistency test asserts for every registered tensor op.
 //
-// Dispatch contexts: by default every ParallelFor dispatches into one
-// process-wide pool sized by SetNumThreads, which admits a single
-// dispatcher at a time. A thread that needs to run kernels concurrently
-// with other dispatchers (a serving worker) owns a private KernelPool and
-// installs it with ScopedKernelPool; ParallelFor on that thread then
-// dispatches into the private pool instead. Shard boundaries are a pure
-// function of (n, grain, nthreads) — never of which pool executes them —
-// so routing through a private pool cannot change any result.
+// Dispatch context: a thread runs kernels in parallel only inside a
+// ScopedKernelPool, which installs a KernelPool as the thread's ambient
+// context. Without one, ParallelFor runs one inline shard on the calling
+// thread. Each dispatcher (a serving worker, a training run) owns its own
+// pool, so dispatchers never share dispatch state. Shard boundaries are a
+// pure function of (n, grain, nthreads), never of which pool executes them,
+// so the pool a kernel runs in cannot change any result.
 #ifndef DTDBD_COMMON_THREAD_POOL_H_
 #define DTDBD_COMMON_THREAD_POOL_H_
 
@@ -27,36 +26,19 @@
 
 namespace dtdbd {
 
-class FlagParser;
-
 namespace internal {
 class PoolImpl;
 }  // namespace internal
 
-// Number of worker threads the kernels currently use (>= 1). Lazily
-// initialized from DTDBD_NUM_THREADS or std::thread::hardware_concurrency.
+// The kernel thread count a pool defaults to (>= 1): DTDBD_NUM_THREADS if
+// set and a strictly positive integer, else hardware concurrency. A
+// set-but-invalid value (non-numeric, zero, or negative) logs a warning and
+// yields 1 thread rather than silently falling back to hardware
+// concurrency.
 int GetNumThreads();
 
-// Sets the process-wide thread count. n <= 0 restores the default
-// (environment / hardware). n == 1 runs every kernel inline on the calling
-// thread, which is byte-for-byte the single-threaded engine. Must be called
-// from the main thread, outside any ParallelFor region.
-void SetNumThreads(int n);
-
-// Default thread count: DTDBD_NUM_THREADS if set and a strictly positive
-// integer, else hardware concurrency (at least 1). A set-but-invalid value
-// (non-numeric, zero, or negative) logs a warning and yields 1 thread
-// rather than silently falling back to hardware concurrency.
-int DefaultNumThreads();
-
-// Reads --threads=N (falling back to DTDBD_NUM_THREADS, then hardware) and
-// applies it via SetNumThreads. A present-but-invalid --threads value logs
-// a warning and pins the pool to 1 thread. Every bench/example main calls
-// this so perf runs are reproducible from the command line.
-int InitThreadsFromFlags(const FlagParser& flags);
-
 // A private kernel-dispatch pool owned by one dispatcher thread. Created
-// with `nthreads` workers (<= 0 means the current GetNumThreads()); with
+// with `nthreads` workers (<= 0 means GetNumThreads()); with
 // nthreads == 1 every dispatch runs inline on the owning thread. Distinct
 // KernelPools are fully independent: N threads each holding their own pool
 // can run kernels concurrently without sharing any dispatch state. The
@@ -79,11 +61,10 @@ class KernelPool {
 };
 
 // Installs `pool` as the calling thread's ambient dispatch context for the
-// scope's lifetime; ParallelFor on this thread routes into it instead of
-// the process-wide pool. Nestable (restores the previous context), and a
-// nullptr pool restores default routing. The pool must outlive the scope
-// and must not be shared by two simultaneously-live scopes on different
-// threads.
+// scope's lifetime; ParallelFor on this thread dispatches into it. Nestable
+// (restores the previous context), and a nullptr pool restores inline
+// execution. The pool must outlive the scope and must not be shared by two
+// simultaneously-live scopes on different threads.
 class ScopedKernelPool {
  public:
   explicit ScopedKernelPool(const KernelPool* pool);
@@ -95,8 +76,8 @@ class ScopedKernelPool {
   const KernelPool* previous_;
 };
 
-// The calling thread's ambient pool, or nullptr when dispatching to the
-// process-wide pool (exposed for tests).
+// The calling thread's ambient pool, or nullptr when kernels run inline on
+// the calling thread (exposed for tests).
 const KernelPool* CurrentKernelPool();
 
 // The number of shards ParallelFor(n, grain, ...) on the calling thread

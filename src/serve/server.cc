@@ -61,9 +61,9 @@ Server::Server(std::unique_ptr<InferenceSession> session,
   pools_.reserve(static_cast<size_t>(num_workers_));
   workers_.reserve(static_cast<size_t>(num_workers_));
   for (int i = 0; i < num_workers_; ++i) {
-    // Each worker dispatches kernels into its own pool, sized like the
-    // process-wide one, so concurrent forwards share no dispatch state and
-    // shard boundaries (hence results) are unchanged.
+    // Each worker dispatches kernels into its own pool of GetNumThreads()
+    // threads, so concurrent forwards share no dispatch state and shard
+    // boundaries (hence results) are unchanged.
     pools_.push_back(std::make_unique<KernelPool>(GetNumThreads()));
     workers_.emplace_back(
         [this, pool = pools_.back().get()] { WorkerLoop(pool); });
@@ -655,7 +655,7 @@ void Server::DrainQueueLocked() {
 void Server::WorkerLoop(KernelPool* pool) {
   // Every kernel this thread dispatches — inference forwards AND
   // control-job model construction/restore — runs on this worker's private
-  // pool, never the process-wide one.
+  // pool.
   ScopedKernelPool scoped(pool);
   std::vector<Job> batch;
   for (;;) {

@@ -14,9 +14,9 @@
 // Concurrency: Predict/PredictBatch are read-only over the model (eval
 // forwards mutate no model state; dropout is an identity that draws no
 // RNG), so distinct server workers may call them concurrently on one
-// session — provided each calling thread dispatches kernels into its own
-// KernelPool (ScopedKernelPool) and model swaps are quiesced, which is
-// exactly what serve::Server arranges.
+// session — provided no two calling threads share a KernelPool (a thread
+// without one runs its kernels inline) and model swaps are quiesced, which
+// is exactly what serve::Server arranges.
 #ifndef DTDBD_SERVE_SESSION_H_
 #define DTDBD_SERVE_SESSION_H_
 

@@ -1061,10 +1061,6 @@ Tensor UnaryEw(const Op* op, const Tensor& a_in) {
   return MakeOp(op, a.shape(), std::move(out), {a});
 }
 
-struct NegFn {
-  static float Fwd(float x) { return -x; }
-  static float Dydx(float, float) { return -1.0f; }
-};
 struct ReluFn {
   static float Fwd(float x) { return x > 0.0f ? x : 0.0f; }
   static float Dydx(float x, float) { return x > 0.0f ? 1.0f : 0.0f; }
@@ -1087,31 +1083,17 @@ struct SigmoidFn {
   static float Fwd(float x) { return 1.0f / (1.0f + std::exp(-x)); }
   static float Dydx(float, float y) { return y * (1.0f - y); }
 };
-struct ExpFn {
-  static float Fwd(float x) { return std::exp(x); }
-  static float Dydx(float, float y) { return y; }
-};
-struct LogFn {
-  static float Fwd(float x) { return std::log(x); }
-  static float Dydx(float x, float) { return 1.0f / x; }
-};
 struct SquareFn {
   static float Fwd(float x) { return x * x; }
   static float Dydx(float x, float) { return 2.0f * x; }
 };
 
-const Op* const kNeg =
-    OpRegistry::Get().Register({"Neg", 1, &UnaryBackward<NegFn>});
 const Op* const kRelu =
     OpRegistry::Get().Register({"Relu", 1, &UnaryBackward<ReluFn>});
 const Op* const kTanh =
     OpRegistry::Get().Register({"Tanh", 1, &UnaryBackward<TanhFn>});
 const Op* const kSigmoid =
     OpRegistry::Get().Register({"Sigmoid", 1, &UnaryBackward<SigmoidFn>});
-const Op* const kExp =
-    OpRegistry::Get().Register({"Exp", 1, &UnaryBackward<ExpFn>});
-const Op* const kLog =
-    OpRegistry::Get().Register({"Log", 1, &UnaryBackward<LogFn>});
 const Op* const kSquare =
     OpRegistry::Get().Register({"Square", 1, &UnaryBackward<SquareFn>});
 
@@ -1893,33 +1875,6 @@ void WeightedSumOverTimeBackward(Node* self) {
 const Op* const kWeightedSumOverTime = OpRegistry::Get().Register(
     {"WeightedSumOverTime", 2, &WeightedSumOverTimeBackward});
 
-// ----- RowL2Normalize -----
-
-struct RowL2NormalizeState {
-  std::vector<float> inv_norms;
-};
-
-void RowL2NormalizeBackward(Node* self) {
-  Node* in = self->inputs[0].get();
-  if (!in->requires_grad) return;
-  const int64_t b = self->shape[0], n = self->shape[1];
-  const auto* st = static_cast<const RowL2NormalizeState*>(self->saved.get());
-  ParallelFor(b, GrainForRows(n), [&](int64_t s, int64_t e) {
-    for (int64_t i = s; i < e; ++i) {
-      const float* y = self->cdata() + i * n;
-      const float* g = self->grad.data() + i * n;
-      float dot = 0.0f;
-      for (int64_t j = 0; j < n; ++j) dot += g[j] * y[j];
-      const float inv = st->inv_norms[static_cast<size_t>(i)];
-      float* gx = in->grad.data() + i * n;
-      for (int64_t j = 0; j < n; ++j) gx[j] += inv * (g[j] - dot * y[j]);
-    }
-  });
-}
-
-const Op* const kRowL2Normalize =
-    OpRegistry::Get().Register({"RowL2Normalize", 1, &RowL2NormalizeBackward});
-
 // ----- PairwiseSquaredDistances -----
 
 void PairwiseSquaredDistancesBackward(Node* self) {
@@ -2005,8 +1960,6 @@ Tensor AddBias(const Tensor& x_in, const Tensor& bias_in) {
   return MakeOp(kAddBias, x.shape(), std::move(out), {x, bias});
 }
 
-Tensor Neg(const Tensor& a) { return UnaryEw<NegFn>(kNeg, a); }
-
 Tensor ScalarMul(const Tensor& a_in, float s) {
   Tensor a = EnsureReadable(a_in);
   ScopedOpTimer timer(kScalarMul);
@@ -2023,14 +1976,6 @@ Tensor ScalarMul(const Tensor& a_in, float s) {
 Tensor Relu(const Tensor& a) { return UnaryEw<ReluFn>(kRelu, a); }
 Tensor Tanh(const Tensor& a) { return UnaryEw<TanhFn>(kTanh, a); }
 Tensor Sigmoid(const Tensor& a) { return UnaryEw<SigmoidFn>(kSigmoid, a); }
-Tensor Exp(const Tensor& a) { return UnaryEw<ExpFn>(kExp, a); }
-
-Tensor Log(const Tensor& a) {
-  for (float v : a.data()) {
-    DTDBD_CHECK_GT(v, 0.0f) << "Log: non-positive input";
-  }
-  return UnaryEw<LogFn>(kLog, a);
-}
 
 Tensor Square(const Tensor& a) { return UnaryEw<SquareFn>(kSquare, a); }
 
@@ -2871,30 +2816,6 @@ Tensor WeightedSumOverTime(const Tensor& x_in, const Tensor& w_in) {
     }
   });
   return MakeOp(kWeightedSumOverTime, {b, n}, std::move(out), {x, w});
-}
-
-Tensor RowL2Normalize(const Tensor& x_in, float eps) {
-  DTDBD_CHECK_EQ(x_in.ndim(), 2);
-  Tensor x = Contiguous(x_in);
-  const int64_t b = x.dim(0), n = x.dim(1);
-  ScopedOpTimer timer(kRowL2Normalize);
-  const float* px = x.data().data();
-  std::vector<float> out(static_cast<size_t>(x.numel()));
-  auto state = std::make_shared<RowL2NormalizeState>();
-  state->inv_norms.resize(static_cast<size_t>(b));
-  float* po = out.data();
-  float* pinv = state->inv_norms.data();
-  ParallelFor(b, GrainForRows(n), [&](int64_t s, int64_t e) {
-    for (int64_t i = s; i < e; ++i) {
-      const float* xi = px + i * n;
-      float acc = 0.0f;
-      for (int64_t j = 0; j < n; ++j) acc += xi[j] * xi[j];
-      const float inv = 1.0f / std::max(std::sqrt(acc), eps);
-      pinv[i] = inv;
-      for (int64_t j = 0; j < n; ++j) po[i * n + j] = xi[j] * inv;
-    }
-  });
-  return MakeOp(kRowL2Normalize, x.shape(), std::move(out), {x}, state);
 }
 
 Tensor PairwiseSquaredDistances(const Tensor& x_in) {

@@ -25,13 +25,10 @@ Tensor Mul(const Tensor& a, const Tensor& b);
 Tensor AddBias(const Tensor& x, const Tensor& bias);
 
 // ----- Elementwise unary -----
-Tensor Neg(const Tensor& a);
 Tensor ScalarMul(const Tensor& a, float s);
 Tensor Relu(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
-Tensor Exp(const Tensor& a);
-Tensor Log(const Tensor& a);  // input must be strictly positive
 Tensor Square(const Tensor& a);
 
 // ----- Linear algebra -----
@@ -141,10 +138,6 @@ Tensor LayerNormOp(const Tensor& x, const Tensor& gamma, const Tensor& beta,
 // ----- Attention-weighted pooling -----
 // x[B,T,N], w[B,T] -> [B,N]; out[b,:] = sum_t w[b,t] * x[b,t,:].
 Tensor WeightedSumOverTime(const Tensor& x, const Tensor& w);
-
-// ----- Row-wise L2 normalization -----
-// x[B,N] -> y with y[i,:] = x[i,:] / max(||x[i,:]||, eps).
-Tensor RowL2Normalize(const Tensor& x, float eps = 1e-8f);
 
 // ----- Pairwise squared Euclidean distances -----
 // x[B,N] -> [B,B]; entry (i,j) = ||x_i - x_j||^2. This is the correlation

@@ -15,9 +15,9 @@
 #include <gtest/gtest.h>
 
 #include "common/flags.h"
-#include "common/thread_pool.h"
 #include "data/generator.h"
 #include "models/model.h"
+#include "scoped_env.h"
 #include "serve/fleet.h"
 #include "serve/server.h"
 #include "serve/session.h"
@@ -246,10 +246,8 @@ TEST_F(CacheTest, CacheHitMatchesMissBitwiseAcrossZooWorkersAndThreads) {
   // uncached session reference. A cache that changes a single bit breaks
   // the §9.4 parity chain, so this is EXPECT_EQ on floats, not NEAR.
   constexpr size_t kSamples = 4;
-  const int prev_threads = GetNumThreads();
   for (const std::string& name : models::AllModelNames()) {
     SCOPED_TRACE(name);
-    SetNumThreads(1);
     auto reference = MakeSession(name, 3);
     std::vector<float> expected;
     for (size_t i = 0; i < kSamples; ++i) {
@@ -261,7 +259,9 @@ TEST_F(CacheTest, CacheHitMatchesMissBitwiseAcrossZooWorkersAndThreads) {
       for (const int threads : {1, 4}) {
         SCOPED_TRACE("workers=" + std::to_string(workers) +
                      " threads=" + std::to_string(threads));
-        SetNumThreads(threads);
+        // Each worker's KernelPool is sized by DTDBD_NUM_THREADS.
+        const ::dtdbd::testing::ScopedEnv threads_env(
+            "DTDBD_NUM_THREADS", std::to_string(threads).c_str());
         ServerOptions options = CachedOptions();
         options.num_workers = workers;
         Server server(MakeSession(name, 3), options);
@@ -291,7 +291,6 @@ TEST_F(CacheTest, CacheHitMatchesMissBitwiseAcrossZooWorkersAndThreads) {
       }
     }
   }
-  SetNumThreads(prev_threads);
 }
 
 TEST_F(CacheTest, CacheBytesZeroIsThePreCachePath) {

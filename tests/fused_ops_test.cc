@@ -85,30 +85,24 @@ void ExpectRunsBitwiseEqual(const Run& a, const Run& b, const char* what) {
 // counts and asserts bitwise parity with it. `fused_op` must appear in the
 // fused dump and not the oracle one, proving the two graphs differ.
 void CheckFusedParity(const Builder& build, const char* fused_op) {
-  SetNumThreads(1);
   const Run unfused = Execute(build, /*fused=*/false);
   EXPECT_EQ(unfused.dump.find(std::string("= ") + fused_op + "("),
             std::string::npos)
       << fused_op << " recorded by its oracle";
-  for (int threads : {1, 2, 4, 8}) {
-    SetNumThreads(threads);
+  KernelPool pool1(1), pool2(2), pool4(4), pool8(8);
+  for (const KernelPool* pool : {&pool1, &pool2, &pool4, &pool8}) {
+    ScopedKernelPool scope(pool);
     const Run fused = Execute(build, /*fused=*/true);
     EXPECT_NE(fused.dump.find(std::string("= ") + fused_op + "("),
               std::string::npos)
         << fused_op << " not recorded by the fused graph";
     SCOPED_TRACE(std::string(fused_op) + " threads=" +
-                 std::to_string(threads));
+                 std::to_string(pool->nthreads()));
     ExpectRunsBitwiseEqual(unfused, fused, fused_op);
   }
-  SetNumThreads(1);
 }
 
-class FusedOpsTest : public ::testing::Test {
- protected:
-  void TearDown() override { SetNumThreads(1); }
-};
-
-TEST_F(FusedOpsTest, LinearReluMatchesUnfusedBitwise) {
+TEST(FusedOpsTest, LinearReluMatchesUnfusedBitwise) {
   CheckFusedParity(
       [](bool fused) {
         Tensor x = Rand({48, 32}, 1);
@@ -120,7 +114,7 @@ TEST_F(FusedOpsTest, LinearReluMatchesUnfusedBitwise) {
       "LinearRelu");
 }
 
-TEST_F(FusedOpsTest, Conv1dSeqReluMaxMatchesUnfusedBitwise) {
+TEST(FusedOpsTest, Conv1dSeqReluMaxMatchesUnfusedBitwise) {
   CheckFusedParity(
       [](bool fused) {
         Tensor x = Rand({5, 20, 48}, 4);
@@ -138,7 +132,7 @@ TEST_F(FusedOpsTest, Conv1dSeqReluMaxMatchesUnfusedBitwise) {
 // with no positive pre-activation (a bias of -100: pooled 0, argmax 0,
 // ReLU mask 0 at the argmax), and upstream grads of +-0, +-Inf and NaN,
 // which the mask turns into NaN where it is 0.
-TEST_F(FusedOpsTest, Conv1dSeqReluMaxEdgeCasesMatchUnfusedBitwise) {
+TEST(FusedOpsTest, Conv1dSeqReluMaxEdgeCasesMatchUnfusedBitwise) {
   CheckFusedParity(
       [](bool fused) {
         const int64_t b = 3, t = 9, e = 5, c = 20, k = 2;
@@ -169,7 +163,7 @@ TEST_F(FusedOpsTest, Conv1dSeqReluMaxEdgeCasesMatchUnfusedBitwise) {
       "Conv1dSeqReluMax");
 }
 
-TEST_F(FusedOpsTest, MatVecOverTimeMatchesUnfusedBitwise) {
+TEST(FusedOpsTest, MatVecOverTimeMatchesUnfusedBitwise) {
   CheckFusedParity(
       [](bool fused) {
         Tensor x = Rand({6, 18, 40}, 7);
@@ -183,7 +177,7 @@ TEST_F(FusedOpsTest, MatVecOverTimeMatchesUnfusedBitwise) {
 // Full attention chain: fused score, softmax, batched-GEMM pooling. The
 // sequence leaf gets exactly two gradient contributions (score branch and
 // pooling branch), which is still bitwise order-safe.
-TEST_F(FusedOpsTest, AttentionChainMatchesUnfusedBitwise) {
+TEST(FusedOpsTest, AttentionChainMatchesUnfusedBitwise) {
   CheckFusedParity(
       [](bool fused) {
         Tensor x = Rand({6, 18, 40}, 9);
@@ -195,7 +189,7 @@ TEST_F(FusedOpsTest, AttentionChainMatchesUnfusedBitwise) {
       "MatVecOverTime");
 }
 
-TEST_F(FusedOpsTest, SoftmaxCrossEntropyMatchesUnfusedBitwise) {
+TEST(FusedOpsTest, SoftmaxCrossEntropyMatchesUnfusedBitwise) {
   CheckFusedParity(
       [](bool fused) {
         Tensor logits = Rand({30, 4}, 11);
@@ -207,7 +201,7 @@ TEST_F(FusedOpsTest, SoftmaxCrossEntropyMatchesUnfusedBitwise) {
       "SoftmaxCrossEntropy");
 }
 
-TEST_F(FusedOpsTest, SoftmaxKlMatchesUnfusedBitwise) {
+TEST(FusedOpsTest, SoftmaxKlMatchesUnfusedBitwise) {
   for (float tau : {1.0f, 2.0f}) {
     SCOPED_TRACE("tau=" + std::to_string(tau));
     CheckFusedParity(
@@ -224,7 +218,7 @@ TEST_F(FusedOpsTest, SoftmaxKlMatchesUnfusedBitwise) {
 
 // The teacher is a constant in the fused op and its oracle: even when it
 // requires grad, no gradient may flow into it.
-TEST_F(FusedOpsTest, SoftmaxKlTeacherGetsNoGradient) {
+TEST(FusedOpsTest, SoftmaxKlTeacherGetsNoGradient) {
   for (bool fused : {false, true}) {
     Tensor teacher = Rand({8, 4}, 14, /*requires_grad=*/true);
     Tensor student = Rand({8, 4}, 15);
@@ -242,7 +236,7 @@ TEST_F(FusedOpsTest, SoftmaxKlTeacherGetsNoGradient) {
 
 // ----- Numeric gradient checks of the fused kernels themselves -----
 
-TEST_F(FusedOpsTest, LinearReluGradcheck) {
+TEST(FusedOpsTest, LinearReluGradcheck) {
   Tensor x = Rand({5, 6}, 20);
   Tensor w = Rand({6, 7}, 21);
   // Bias offset keeps pre-activations away from the ReLU kink, where
@@ -254,7 +248,7 @@ TEST_F(FusedOpsTest, LinearReluGradcheck) {
   ::dtdbd::testing::ExpectGradMatchesNumeric(b, forward);
 }
 
-TEST_F(FusedOpsTest, Conv1dSeqReluMaxGradcheck) {
+TEST(FusedOpsTest, Conv1dSeqReluMaxGradcheck) {
   Tensor x = Rand({2, 7, 5}, 22);
   Tensor w = Rand({4, 2 * 5}, 23);
   Tensor b = Tensor::Full({4}, 0.4f, /*requires_grad=*/true);
@@ -264,7 +258,7 @@ TEST_F(FusedOpsTest, Conv1dSeqReluMaxGradcheck) {
   ::dtdbd::testing::ExpectGradMatchesNumeric(b, forward);
 }
 
-TEST_F(FusedOpsTest, MatVecOverTimeGradcheck) {
+TEST(FusedOpsTest, MatVecOverTimeGradcheck) {
   Tensor x = Rand({3, 5, 6}, 24);
   Tensor v = Rand({6, 1}, 25);
   const auto forward = [&] { return Sum(Square(MatVecOverTime(x, v))); };
@@ -272,14 +266,14 @@ TEST_F(FusedOpsTest, MatVecOverTimeGradcheck) {
   ::dtdbd::testing::ExpectGradMatchesNumeric(v, forward);
 }
 
-TEST_F(FusedOpsTest, SoftmaxCrossEntropyGradcheck) {
+TEST(FusedOpsTest, SoftmaxCrossEntropyGradcheck) {
   Tensor logits = Rand({6, 4}, 26);
   std::vector<int> labels = {0, 1, 2, 3, 1, 2};
   const auto forward = [&] { return CrossEntropyLoss(logits, labels); };
   ::dtdbd::testing::ExpectGradMatchesNumeric(logits, forward);
 }
 
-TEST_F(FusedOpsTest, SoftmaxKlGradcheck) {
+TEST(FusedOpsTest, SoftmaxKlGradcheck) {
   Tensor teacher = Rand({6, 4}, 27, /*requires_grad=*/false);
   Tensor student = Rand({6, 4}, 28);
   const auto forward = [&] { return DistillKlLoss(teacher, student, 2.0f); };
@@ -288,7 +282,7 @@ TEST_F(FusedOpsTest, SoftmaxKlGradcheck) {
 
 // Fusion reduces the node count of a linear+loss step below its oracle
 // graph's; the graph counters (MakeOp/MakeView instrumentation) see it.
-TEST_F(FusedOpsTest, FusionShrinksRecordedGraph) {
+TEST(FusedOpsTest, FusionShrinksRecordedGraph) {
   const auto count_nodes = [](bool fused) {
     SetOpProfiling(true);
     ResetOpStats();

@@ -22,8 +22,6 @@ struct GradCase {
   Shape input_shape;
   // Builds a scalar loss from the (leaf) input tensor.
   std::function<Tensor(const Tensor&)> forward;
-  // Keep inputs positive (for Log).
-  bool positive_input = false;
 };
 
 // Without this, gtest prints the case as raw bytes, which include heap
@@ -45,10 +43,7 @@ TEST_P(OpGradTest, MatchesNumericGradient) {
   const GradCase& c = GetParam();
   Rng rng(7);
   std::vector<float> data(NumElements(c.input_shape));
-  for (auto& v : data) {
-    v = static_cast<float>(c.positive_input ? rng.Uniform(0.5, 2.0)
-                                            : rng.Normal(0.0, 1.0));
-  }
+  for (auto& v : data) v = static_cast<float>(rng.Normal(0.0, 1.0));
   Tensor x = Tensor::FromData(c.input_shape, std::move(data), true);
   ExpectGradMatchesNumeric(x, [&]() { return c.forward(x); });
 }
@@ -73,8 +68,6 @@ std::vector<GradCase> MakeCases() {
                    [scalarize](const Tensor& x) {
                      return scalarize(AddBias(x, Partner({3}, 4)));
                    }});
-  cases.push_back({"Neg", {5},
-                   [scalarize](const Tensor& x) { return scalarize(Neg(x)); }});
   cases.push_back({"Relu", {12},
                    [scalarize](const Tensor& x) {
                      return scalarize(Relu(x));
@@ -87,11 +80,6 @@ std::vector<GradCase> MakeCases() {
                    [scalarize](const Tensor& x) {
                      return scalarize(Sigmoid(x));
                    }});
-  cases.push_back({"Exp", {6},
-                   [scalarize](const Tensor& x) { return scalarize(Exp(x)); }});
-  cases.push_back({"Log", {6},
-                   [scalarize](const Tensor& x) { return scalarize(Log(x)); },
-                   /*positive_input=*/true});
   cases.push_back({"MatMulLhs", {3, 4},
                    [scalarize](const Tensor& x) {
                      return scalarize(MatMul(x, Partner({4, 2}, 5)));
@@ -167,10 +155,6 @@ std::vector<GradCase> MakeCases() {
   cases.push_back({"PairwiseSquaredDistances", {4, 3},
                    [scalarize](const Tensor& x) {
                      return scalarize(PairwiseSquaredDistances(x));
-                   }});
-  cases.push_back({"RowL2Normalize", {3, 4},
-                   [scalarize](const Tensor& x) {
-                     return scalarize(RowL2Normalize(x));
                    }});
   cases.push_back({"LayerNormInput", {3, 6},
                    [scalarize](const Tensor& x) {

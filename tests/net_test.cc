@@ -26,6 +26,7 @@
 #include "models/model.h"
 #include "net/client.h"
 #include "net/protocol.h"
+#include "scoped_env.h"
 #include "serve/server.h"
 #include "serve/session.h"
 #include "text/frozen_encoder.h"
@@ -665,33 +666,6 @@ TEST_F(NetTest, StartRejectsOutOfRangePortWithoutLeakingFds) {
 
 // ----- The Knob table: every production flag / env row -----
 
-// Clears one environment variable for a scope and restores its previous
-// value afterwards (the CI serving matrix sets DTDBD_SERVE_WORKERS and
-// DTDBD_CACHE_BYTES for this whole binary). A null name is a no-op.
-class ScopedEnv {
- public:
-  explicit ScopedEnv(const char* name) : name_(name) {
-    if (name_ == nullptr) return;
-    const char* old = std::getenv(name_);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    unsetenv(name_);
-  }
-  ~ScopedEnv() {
-    if (name_ == nullptr) return;
-    if (had_old_) {
-      setenv(name_, old_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
-
 // Resolves `knob` against a command line holding `args`.
 int64_t ResolveWithArgs(const Knob& knob, std::vector<std::string> args) {
   args.insert(args.begin(), "net_test");
@@ -705,7 +679,7 @@ class KnobTableTest : public ::testing::TestWithParam<const Knob*> {};
 
 TEST_P(KnobTableTest, ResolvesStrictly) {
   const Knob& knob = *GetParam();
-  const ScopedEnv env_guard(knob.env);
+  const ::dtdbd::testing::ScopedEnv env_guard(knob.env, nullptr);
   const auto with_flag = [&knob](const std::string& value) {
     return ResolveWithArgs(knob, {"--" + std::string(knob.flag) + "=" + value});
   };

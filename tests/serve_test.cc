@@ -19,6 +19,7 @@
 #include "data/generator.h"
 #include "dtdbd/trainer.h"
 #include "models/model.h"
+#include "scoped_env.h"
 #include "serve/session.h"
 #include "serve/validation.h"
 #include "tensor/ops.h"
@@ -471,10 +472,8 @@ TEST_F(ServeTest, PredictBatchMatchesBatchOfOneBitwiseAcrossZooAndThreads) {
   data::NewsDataset subset = dataset_;
   subset.samples.resize(kBatch);
 
-  const int prev_threads = GetNumThreads();
   for (const std::string& name : models::AllModelNames()) {
     SCOPED_TRACE(name);
-    SetNumThreads(1);
     auto session = MakeSession(name, 3);
     const std::vector<float> reference =
         PredictFakeProbability(session->model(), subset, 64);
@@ -482,7 +481,8 @@ TEST_F(ServeTest, PredictBatchMatchesBatchOfOneBitwiseAcrossZooAndThreads) {
 
     for (const int threads : {1, 2, 4, 8}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
-      SetNumThreads(threads);
+      KernelPool pool(threads);
+      ScopedKernelPool scope(&pool);
       const auto batched = session->PredictBatch(pointers);
       ASSERT_EQ(batched.size(), kBatch);
       for (size_t i = 0; i < kBatch; ++i) {
@@ -495,7 +495,6 @@ TEST_F(ServeTest, PredictBatchMatchesBatchOfOneBitwiseAcrossZooAndThreads) {
       }
     }
   }
-  SetNumThreads(prev_threads);
 }
 
 TEST_F(ServeTest, PredictBatchIsolatesPerElementFailures) {
@@ -676,28 +675,6 @@ TEST_F(ServeTest, StopFailsQueuedUncoalescedRequestsUnderMultiWorker) {
 
 // ----- Serving workers: options, then the DTDBD_SERVE_WORKERS row -----
 
-// Save/restore DTDBD_SERVE_WORKERS around a test (mirrors the
-// DTDBD_NUM_THREADS helper in thread_pool_test).
-class ScopedServeWorkersEnv {
- public:
-  ScopedServeWorkersEnv() {
-    const char* old = std::getenv("DTDBD_SERVE_WORKERS");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-  }
-  ~ScopedServeWorkersEnv() {
-    if (had_old_) {
-      setenv("DTDBD_SERVE_WORKERS", old_.c_str(), 1);
-    } else {
-      unsetenv("DTDBD_SERVE_WORKERS");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
-
 // Resolves the --serve-workers row against a command line holding `args`.
 int64_t ResolveServeWorkersWith(std::vector<std::string> args) {
   args.insert(args.begin(), "serve_test");
@@ -708,8 +685,7 @@ int64_t ResolveServeWorkersWith(std::vector<std::string> args) {
 }
 
 TEST_F(ServeTest, ServeWorkersFromEnvParsesStrictly) {
-  ScopedServeWorkersEnv guard;
-  unsetenv("DTDBD_SERVE_WORKERS");
+  ::dtdbd::testing::ScopedEnv guard("DTDBD_SERVE_WORKERS", nullptr);
   EXPECT_EQ(ResolveKnob(kServeWorkersKnob, nullptr), 1);
   setenv("DTDBD_SERVE_WORKERS", "3", 1);
   EXPECT_EQ(ResolveKnob(kServeWorkersKnob, nullptr), 3);
@@ -720,23 +696,21 @@ TEST_F(ServeTest, ServeWorkersFromEnvParsesStrictly) {
 }
 
 TEST_F(ServeTest, ResolveServeWorkersPrefersFlagThenEnv) {
-  ScopedServeWorkersEnv guard;
-  unsetenv("DTDBD_SERVE_WORKERS");
+  ::dtdbd::testing::ScopedEnv guard("DTDBD_SERVE_WORKERS", nullptr);
   EXPECT_EQ(ResolveServeWorkersWith({}), 1);
   EXPECT_EQ(ResolveServeWorkersWith({"--serve-workers=4"}), 4);
   setenv("DTDBD_SERVE_WORKERS", "2", 1);
   EXPECT_EQ(ResolveServeWorkersWith({}), 2);                     // env fallback
   EXPECT_EQ(ResolveServeWorkersWith({"--serve-workers=4"}), 4);  // flag wins
   // A present-but-invalid flag pins to the safe default of 1; it does NOT
-  // silently fall through to the env (same rule as --threads).
+  // silently fall through to the env.
   EXPECT_EQ(ResolveServeWorkersWith({"--serve-workers=zero"}), 1);
   EXPECT_EQ(ResolveServeWorkersWith({"--serve-workers=0"}), 1);
   EXPECT_EQ(ResolveServeWorkersWith({"--serve-workers=-1"}), 1);
 }
 
 TEST_F(ServeTest, ServerResolvesWorkerCountFromOptionsThenEnv) {
-  ScopedServeWorkersEnv guard;
-  setenv("DTDBD_SERVE_WORKERS", "3", 1);
+  ::dtdbd::testing::ScopedEnv guard("DTDBD_SERVE_WORKERS", "3");
   {
     ServerOptions options = BaseOptions();
     options.num_workers = 0;  // resolve from env

@@ -16,10 +16,10 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "data/generator.h"
 #include "dtdbd/trainer.h"
 #include "models/model.h"
+#include "scoped_env.h"
 #include "serve/server.h"
 #include "serve/session.h"
 #include "tensor/optim.h"
@@ -133,7 +133,6 @@ TEST_F(ServingSoakTest, ElevenThousandFaultyRequestsAcrossWorkersAndThreads) {
   // Offline references, computed once at 1 thread; every served answer at
   // every thread count must match these bitwise. Versions 2+ all carry the
   // reload checkpoint's weights.
-  SetNumThreads(1);
   std::vector<std::vector<float>> reference_by_params(2);
   {
     auto v1 = models::CreateModel("MDFEND", ConfigWithSeed(kServingSeed));
@@ -156,7 +155,9 @@ TEST_F(ServingSoakTest, ElevenThousandFaultyRequestsAcrossWorkersAndThreads) {
   for (const int num_threads : {1, 2, 4, 8}) {
     SCOPED_TRACE("workers=" + std::to_string(num_workers) +
                  " threads=" + std::to_string(num_threads));
-    SetNumThreads(num_threads);
+    // Each worker's KernelPool is sized by DTDBD_NUM_THREADS.
+    const ::dtdbd::testing::ScopedEnv threads_env(
+        "DTDBD_NUM_THREADS", std::to_string(num_threads).c_str());
 
     train::FaultInjector injector(static_cast<uint64_t>(num_threads) * 31 +
                                   static_cast<uint64_t>(num_workers));
@@ -311,7 +312,6 @@ TEST_F(ServingSoakTest, ElevenThousandFaultyRequestsAcrossWorkersAndThreads) {
   EXPECT_GE(total_requests, 11'000);
   EXPECT_EQ(total_requests,
             total_ok + total_invalid + total_shed + total_rejected);
-  SetNumThreads(0);  // restore the environment default
 }
 
 }  // namespace

@@ -3,10 +3,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <mutex>
 #include <set>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -14,19 +12,16 @@
 #include <gtest/gtest.h>
 
 #include "common/flags.h"
+#include "scoped_env.h"
 
 namespace dtdbd {
 namespace {
 
-// Restores the global thread count after each test so the binaries' other
-// tests see a known state.
-class ThreadPoolTest : public ::testing::Test {
- protected:
-  void TearDown() override { SetNumThreads(1); }
-};
+using ::dtdbd::testing::ScopedEnv;
 
-TEST_F(ThreadPoolTest, CoversRangeExactlyOnce) {
-  SetNumThreads(4);
+TEST(ThreadPoolTest, CoversRangeExactlyOnce) {
+  KernelPool pool(4);
+  ScopedKernelPool scoped(&pool);
   const int64_t n = 100000;
   // Shards are disjoint, so plain (non-atomic) writes per index are safe.
   std::vector<int> hits(n, 0);
@@ -38,8 +33,9 @@ TEST_F(ThreadPoolTest, CoversRangeExactlyOnce) {
   }
 }
 
-TEST_F(ThreadPoolTest, EmptyAndTinyRanges) {
-  SetNumThreads(4);
+TEST(ThreadPoolTest, EmptyAndTinyRanges) {
+  KernelPool pool(4);
+  ScopedKernelPool scoped(&pool);
   std::atomic<int> calls{0};
   ParallelFor(0, 16, [&](int64_t, int64_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 0);
@@ -51,8 +47,9 @@ TEST_F(ThreadPoolTest, EmptyAndTinyRanges) {
   EXPECT_EQ(sum.load(), 1);
 }
 
-TEST_F(ThreadPoolTest, RangeBelowGrainRunsAsOneShard) {
-  SetNumThreads(8);
+TEST(ThreadPoolTest, RangeBelowGrainRunsAsOneShard) {
+  KernelPool pool(8);
+  ScopedKernelPool scoped(&pool);
   std::atomic<int> calls{0};
   ParallelFor(100, /*grain=*/4096, [&](int64_t begin, int64_t end) {
     calls.fetch_add(1);
@@ -62,8 +59,9 @@ TEST_F(ThreadPoolTest, RangeBelowGrainRunsAsOneShard) {
   EXPECT_EQ(calls.load(), 1);
 }
 
-TEST_F(ThreadPoolTest, ShardBoundariesAreReproducible) {
-  SetNumThreads(4);
+TEST(ThreadPoolTest, ShardBoundariesAreReproducible) {
+  KernelPool pool(4);
+  ScopedKernelPool scoped(&pool);
   const auto collect = [] {
     std::set<std::pair<int64_t, int64_t>> shards;
     std::mutex mu;
@@ -84,8 +82,9 @@ TEST_F(ThreadPoolTest, ShardBoundariesAreReproducible) {
   EXPECT_LE(static_cast<int>(a.size()), 4);
 }
 
-TEST_F(ThreadPoolTest, NestedParallelForInlinesInsteadOfDeadlocking) {
-  SetNumThreads(4);
+TEST(ThreadPoolTest, NestedParallelForInlinesInsteadOfDeadlocking) {
+  KernelPool pool(4);
+  ScopedKernelPool scoped(&pool);
   const int64_t outer = 8, inner = 1000;
   std::vector<int64_t> sums(outer, 0);
   ParallelFor(outer, /*grain=*/1, [&](int64_t begin, int64_t end) {
@@ -102,95 +101,48 @@ TEST_F(ThreadPoolTest, NestedParallelForInlinesInsteadOfDeadlocking) {
   }
 }
 
-TEST_F(ThreadPoolTest, SetNumThreadsRoundTrip) {
-  SetNumThreads(3);
+TEST(ThreadPoolTest, NoAmbientPoolRunsInlineOnTheCallingThread) {
+  // Without a ScopedKernelPool a kernel runs as one shard on the calling
+  // thread, whatever DTDBD_NUM_THREADS says: the variable only sizes the
+  // pools that KernelPool(0) and the serve workers create.
+  ScopedEnv env("DTDBD_NUM_THREADS", "8");
+  ASSERT_EQ(CurrentKernelPool(), nullptr);
+  const int64_t n = int64_t{1} << 20;
+  EXPECT_EQ(ParallelForShards(n, 1), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  ParallelFor(n, /*grain=*/1, [&](int64_t begin, int64_t end) {
+    ++calls;
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(begin, 0);
+    EXPECT_EQ(end, n);
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(KernelPool().nthreads(), 8);
+}
+
+TEST(ThreadPoolTest, GetNumThreadsParsesValidEnv) {
+  ScopedEnv env("DTDBD_NUM_THREADS", "3");
   EXPECT_EQ(GetNumThreads(), 3);
-  SetNumThreads(1);
-  EXPECT_EQ(GetNumThreads(), 1);
-  SetNumThreads(0);  // 0 => default
-  EXPECT_EQ(GetNumThreads(), DefaultNumThreads());
-  EXPECT_GE(GetNumThreads(), 1);
 }
 
-// Saves and restores DTDBD_NUM_THREADS around a test body so the parsing
-// tests do not leak environment state into the rest of the binary.
-class ScopedThreadsEnv {
- public:
-  explicit ScopedThreadsEnv(const char* value) {
-    const char* old = std::getenv("DTDBD_NUM_THREADS");
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv("DTDBD_NUM_THREADS", value, /*overwrite=*/1);
-    } else {
-      ::unsetenv("DTDBD_NUM_THREADS");
-    }
-  }
-  ~ScopedThreadsEnv() {
-    if (had_old_) {
-      ::setenv("DTDBD_NUM_THREADS", old_.c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv("DTDBD_NUM_THREADS");
-    }
-  }
-
- private:
-  bool had_old_ = false;
-  std::string old_;
-};
-
-TEST_F(ThreadPoolTest, DefaultNumThreadsParsesValidEnv) {
-  ScopedThreadsEnv env("3");
-  EXPECT_EQ(DefaultNumThreads(), 3);
-}
-
-TEST_F(ThreadPoolTest, DefaultNumThreadsInvalidEnvFallsBackToOne) {
+TEST(ThreadPoolTest, GetNumThreadsInvalidEnvFallsBackToOne) {
   // A set-but-broken DTDBD_NUM_THREADS must not silently become hardware
   // concurrency: the old atoi path turned "abc" into full-width parallelism.
   for (const char* bad : {"abc", "0", "-3", "4x", "", " 2"}) {
-    ScopedThreadsEnv env(bad);
-    EXPECT_EQ(DefaultNumThreads(), 1) << "DTDBD_NUM_THREADS='" << bad << "'";
+    ScopedEnv env("DTDBD_NUM_THREADS", bad);
+    EXPECT_EQ(GetNumThreads(), 1) << "DTDBD_NUM_THREADS='" << bad << "'";
   }
 }
 
-TEST_F(ThreadPoolTest, DefaultNumThreadsUnsetUsesHardware) {
-  ScopedThreadsEnv env(nullptr);
-  EXPECT_GE(DefaultNumThreads(), 1);
-}
-
-int InitThreadsFromArgs(std::vector<std::string> args) {
-  std::vector<char*> argv;
-  argv.push_back(const_cast<char*>("test"));
-  for (auto& a : args) argv.push_back(a.data());
-  FlagParser flags(static_cast<int>(argv.size()), argv.data());
-  return InitThreadsFromFlags(flags);
-}
-
-TEST_F(ThreadPoolTest, InitThreadsFromFlagsValid) {
-  EXPECT_EQ(InitThreadsFromArgs({"--threads=2"}), 2);
-  EXPECT_EQ(GetNumThreads(), 2);
-  EXPECT_EQ(InitThreadsFromArgs({"--threads", "3"}), 3);
-}
-
-TEST_F(ThreadPoolTest, InitThreadsFromFlagsInvalidFallsBackToOne) {
-  for (const std::string& bad :
-       {std::string("--threads=abc"), std::string("--threads=0"),
-        std::string("--threads=-4"), std::string("--threads=2.5"),
-        std::string("--threads")}) {
-    SetNumThreads(4);
-    EXPECT_EQ(InitThreadsFromArgs({bad}), 1) << bad;
-    EXPECT_EQ(GetNumThreads(), 1) << bad;
-  }
-}
-
-TEST_F(ThreadPoolTest, InitThreadsFromFlagsAbsentUsesDefault) {
-  ScopedThreadsEnv env("2");
-  EXPECT_EQ(InitThreadsFromArgs({}), 2);
+TEST(ThreadPoolTest, GetNumThreadsUnsetUsesHardware) {
+  ScopedEnv env("DTDBD_NUM_THREADS", nullptr);
+  EXPECT_GE(GetNumThreads(), 1);
 }
 
 // ----- Multi-dispatcher: KernelPool + ScopedKernelPool -----
 
-TEST_F(ThreadPoolTest, ScopedKernelPoolInstallsAndRestores) {
+TEST(ThreadPoolTest, ScopedKernelPoolInstallsAndRestores) {
   EXPECT_EQ(CurrentKernelPool(), nullptr);
   KernelPool a(2);
   EXPECT_EQ(a.nthreads(), 2);
@@ -207,30 +159,32 @@ TEST_F(ThreadPoolTest, ScopedKernelPoolInstallsAndRestores) {
   EXPECT_EQ(CurrentKernelPool(), nullptr);
 }
 
-TEST_F(ThreadPoolTest, AmbientPoolUsesSameShardBoundariesAsGlobal) {
-  // Sharding is a pure function of (n, grain, threads); which pool runs
-  // the shards must not change the partition.
-  SetNumThreads(4);
-  const auto collect = [] {
-    std::set<std::pair<int64_t, int64_t>> shards;
-    std::mutex mu;
-    ParallelFor(1000, /*grain=*/10, [&](int64_t begin, int64_t end) {
-      std::lock_guard<std::mutex> lock(mu);
-      shards.emplace(begin, end);
-    });
-    return shards;
-  };
-  const auto global_shards = collect();
+TEST(ThreadPoolTest, AmbientPoolShardsFollowTheArithmeticPartition) {
+  // Sharding is a pure function of (n, grain, threads); the pool that runs
+  // the shards must not change the partition, so shard s is exactly
+  // [n * s / shards, n * (s + 1) / shards).
   KernelPool pool(4);
   ScopedKernelPool scoped(&pool);
-  EXPECT_EQ(collect(), global_shards);
+  const int64_t n = 1000;
+  std::set<std::pair<int64_t, int64_t>> shards;
+  std::mutex mu;
+  ParallelFor(n, /*grain=*/10, [&](int64_t begin, int64_t end) {
+    std::lock_guard<std::mutex> lock(mu);
+    shards.emplace(begin, end);
+  });
+  const int count = ParallelForShards(n, 10);
+  ASSERT_EQ(count, 4);
+  std::set<std::pair<int64_t, int64_t>> expected;
+  for (int64_t sh = 0; sh < count; ++sh) {
+    expected.emplace(n * sh / count, n * (sh + 1) / count);
+  }
+  EXPECT_EQ(shards, expected);
 }
 
-TEST_F(ThreadPoolTest, ConcurrentDispatchersProduceIdenticalResults) {
+TEST(ThreadPoolTest, ConcurrentDispatchersProduceIdenticalResults) {
   // N threads, each owning a private KernelPool, dispatch ParallelFor
   // concurrently — the serving-worker topology. Every dispatcher must see
   // exactly the serial result; no dispatch state is shared.
-  SetNumThreads(1);
   const int64_t n = 20000;
   std::vector<int64_t> expected(n);
   for (int64_t i = 0; i < n; ++i) expected[i] = (i * i) % 977 + i;
@@ -257,15 +211,17 @@ TEST_F(ThreadPoolTest, ConcurrentDispatchersProduceIdenticalResults) {
   }
 }
 
-TEST_F(ThreadPoolTest, NestedParallelForInsideKernelPoolInlines) {
-  // The nested-inline rule holds for ambient pools too: a kernel running
-  // on a pool worker never re-dispatches into its own pool.
+TEST(ThreadPoolTest, NestedParallelForInsideKernelPoolInlines) {
+  // The nested-inline rule holds even when a shard installs a pool of its
+  // own: a kernel running on a pool worker never re-dispatches.
   KernelPool pool(4);
   ScopedKernelPool scoped(&pool);
+  KernelPool inner_pool(2);
   const int64_t outer = 8, inner = 1000;
   std::vector<int64_t> sums(outer, 0);
   ParallelFor(outer, /*grain=*/1, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
+      ScopedKernelPool inner_scoped(&inner_pool);
       int64_t local = 0;
       ParallelFor(inner, /*grain=*/1, [&](int64_t b2, int64_t e2) {
         for (int64_t j = b2; j < e2; ++j) local += j;
@@ -278,7 +234,7 @@ TEST_F(ThreadPoolTest, NestedParallelForInsideKernelPoolInlines) {
   }
 }
 
-TEST_F(ThreadPoolTest, SingleThreadKernelPoolRunsInline) {
+TEST(ThreadPoolTest, SingleThreadKernelPoolRunsInline) {
   KernelPool pool(1);
   EXPECT_EQ(pool.impl(), nullptr);  // no worker threads to spin up
   ScopedKernelPool scoped(&pool);
@@ -291,15 +247,18 @@ TEST_F(ThreadPoolTest, SingleThreadKernelPoolRunsInline) {
   EXPECT_EQ(calls.load(), 1);
 }
 
-TEST_F(ThreadPoolTest, ParallelForShardsMatchesTheDispatch) {
+TEST(ThreadPoolTest, ParallelForShardsMatchesTheDispatch) {
   // The shard count a kernel plans with must be the one ParallelFor uses,
-  // through the global pool, an ambient pool and a nested call.
+  // inline, through an ambient pool and in a nested call.
   const auto count = [](int64_t n, int64_t grain) {
     std::atomic<int> calls{0};
     ParallelFor(n, grain, [&](int64_t, int64_t) { calls.fetch_add(1); });
     return calls.load();
   };
-  SetNumThreads(4);
+  EXPECT_EQ(ParallelForShards(40, 1), 1);
+  EXPECT_EQ(count(40, 1), 1);
+  KernelPool pool(4);
+  ScopedKernelPool scoped(&pool);
   for (int64_t n : {1, 7, 16, 40, 1000}) {
     for (int64_t grain : {0, 1, 3, 8, 4096}) {
       EXPECT_EQ(ParallelForShards(n, grain), count(n, grain))
@@ -307,9 +266,9 @@ TEST_F(ThreadPoolTest, ParallelForShardsMatchesTheDispatch) {
     }
   }
   EXPECT_EQ(ParallelForShards(40, 1), 4);
-  KernelPool pool(2);
+  KernelPool pool2(2);
   {
-    ScopedKernelPool scoped(&pool);
+    ScopedKernelPool scoped2(&pool2);
     EXPECT_EQ(ParallelForShards(40, 1), 2);
     EXPECT_EQ(ParallelForShards(40, 1), count(40, 1));
   }
@@ -318,9 +277,9 @@ TEST_F(ThreadPoolTest, ParallelForShardsMatchesTheDispatch) {
   });
 }
 
-// ----- ParsePositiveInt (shared by --threads / --serve-workers / env) -----
+// ----- ParsePositiveInt (shared by --serve-workers and the env rows) -----
 
-TEST_F(ThreadPoolTest, ParsePositiveIntAcceptsStrictPositiveDecimals) {
+TEST(ThreadPoolTest, ParsePositiveIntAcceptsStrictPositiveDecimals) {
   int out = 0;
   EXPECT_TRUE(ParsePositiveInt("1", &out));
   EXPECT_EQ(out, 1);
@@ -330,7 +289,7 @@ TEST_F(ThreadPoolTest, ParsePositiveIntAcceptsStrictPositiveDecimals) {
   EXPECT_EQ(out, 2147483647);
 }
 
-TEST_F(ThreadPoolTest, ParsePositiveIntRejectsEverythingElse) {
+TEST(ThreadPoolTest, ParsePositiveIntRejectsEverythingElse) {
   for (const char* bad : {"", " 2", "2 ", "abc", "4x", "0", "-3", "2.5",
                           "+2", "0x10", "2147483648", "99999999999999"}) {
     int out = -1;
@@ -340,8 +299,9 @@ TEST_F(ThreadPoolTest, ParsePositiveIntRejectsEverythingElse) {
   EXPECT_FALSE(ParsePositiveInt(nullptr, nullptr));
 }
 
-TEST_F(ThreadPoolTest, ManyConsecutiveDispatches) {
-  SetNumThreads(4);
+TEST(ThreadPoolTest, ManyConsecutiveDispatches) {
+  KernelPool pool(4);
+  ScopedKernelPool scoped(&pool);
   for (int round = 0; round < 200; ++round) {
     std::atomic<int64_t> sum{0};
     ParallelFor(512, /*grain=*/16, [&](int64_t begin, int64_t end) {
