@@ -1,5 +1,7 @@
 #include "serve/fleet.h"
 
+#include <algorithm>
+#include <cmath>
 #include <utility>
 
 namespace dtdbd::serve {
@@ -159,6 +161,45 @@ ModelState* ModelFleet::Find(const std::string& name) {
     if (model->name == name) return model.get();
   }
   return nullptr;
+}
+
+// p50/p99 over the first `count` slots of a latency ring. The ring is
+// unordered (it wraps), so order statistics need a sorted copy. The pick
+// is canonical nearest-rank — rank = ceil(q * count), clamped into
+// [1, count] — which the old round-half-up interpolation was not: for
+// count == 2 it returned the UPPER sample as p50, and its index was only
+// accidentally in range (q * (count-1) + 0.5 flirts with `count` for
+// q -> 1). Nearest-rank can never read past the filled window, returns
+// the single sample for count == 1, and is monotone in q so p99 is never
+// a lower slot than p50.
+void LatencyPercentiles(const std::vector<int64_t>& ring, int64_t count,
+                        double* p50_ms, double* p99_ms) {
+  if (count <= 0) return;
+  count = std::min<int64_t>(count, static_cast<int64_t>(ring.size()));
+  std::vector<int64_t> window(ring.begin(), ring.begin() + count);
+  std::sort(window.begin(), window.end());
+  const auto pick = [&window](double q) {
+    int64_t rank = static_cast<int64_t>(
+        std::ceil(q * static_cast<double>(window.size())));
+    rank = std::max<int64_t>(1, rank);
+    rank = std::min<int64_t>(rank, static_cast<int64_t>(window.size()));
+    return static_cast<double>(window[static_cast<size_t>(rank - 1)]) / 1e6;
+  };
+  *p50_ms = pick(0.50);
+  *p99_ms = pick(0.99);
+}
+
+void LatencyRing::Reset(int64_t window) {
+  slots_.assign(static_cast<size_t>(window), 0);
+  next_ = 0;
+  count_ = 0;
+}
+
+void LatencyRing::Push(int64_t nanos) {
+  const int64_t window = static_cast<int64_t>(slots_.size());
+  slots_[static_cast<size_t>(next_)] = nanos;
+  next_ = (next_ + 1) % window;
+  if (count_ < window) ++count_;
 }
 
 }  // namespace dtdbd::serve

@@ -156,6 +156,38 @@ struct ShadowStats {
   double abs_delta_max = 0.0;
 };
 
+// Nearest-rank percentiles over the first `count` slots of an (unordered)
+// latency ring, in milliseconds. p50 is the ceil(0.50*count)-th smallest
+// sample, p99 the ceil(0.99*count)-th; count==1 returns that sample for
+// both, count<=0 leaves the outputs untouched (the caller's
+// latency_no_samples flag owns that case). By construction the picked
+// rank is always in [1, count] — never past the filled window — and is
+// monotone in q, so p99 can never come from a lower slot than p50.
+// Exposed for the table-driven tests.
+void LatencyPercentiles(const std::vector<int64_t>& ring, int64_t count,
+                        double* p50_ms, double* p99_ms);
+
+// Sliding window of the most recent request latencies (nanos) behind one
+// p50/p99 pair: the server's aggregate window and each model's. Externally
+// synchronized (Server::stats_mu_).
+class LatencyRing {
+ public:
+  // Empties the ring and sizes it to `window` (> 0) slots.
+  void Reset(int64_t window);
+  // Overwrites the oldest sample once the window is full.
+  void Push(int64_t nanos);
+  int64_t count() const { return count_; }
+  // LatencyPercentiles over the filled slots.
+  void Percentiles(double* p50_ms, double* p99_ms) const {
+    LatencyPercentiles(slots_, count_, p50_ms, p99_ms);
+  }
+
+ private:
+  std::vector<int64_t> slots_;
+  int64_t next_ = 0;
+  int64_t count_ = 0;
+};
+
 // Per-model slices of a HealthReport (the models[] section).
 struct CanaryHealth {
   bool active = false;
@@ -280,6 +312,7 @@ struct ModelState {
   int64_t queued = 0;
 
   // --- stats: guarded by Server::stats_mu_ ---
+  // The only copy of each count; HealthReport's fleet totals are sums.
   int64_t deduped = 0;  // followers served by dedup fan-out, not a forward
   int64_t served_ok = 0;
   int64_t invalid_requests = 0;
@@ -289,9 +322,7 @@ struct ModelState {
   int64_t reload_successes = 0;
   int64_t reload_failures = 0;
   std::string last_reload_error;
-  std::vector<int64_t> latencies;  // ring buffer, sized by the server
-  int64_t latency_next = 0;
-  int64_t latency_count = 0;
+  LatencyRing latencies;  // sized by the server at registration
   CanaryWindowStats window;
   int64_t windows_evaluated = 0;
   int64_t canaries_started = 0;

@@ -32,7 +32,6 @@ Server::Server(std::unique_ptr<InferenceSession> session,
       clock_(options_.clock != nullptr ? options_.clock
                                        : SystemClock::Get()),
       fleet_(options_.default_model_name) {
-  DTDBD_CHECK(session != nullptr);
   DTDBD_CHECK_GT(options_.max_queue_depth, 0);
   DTDBD_CHECK_GT(options_.latency_window, 0);
   DTDBD_CHECK_GT(options_.feedback_ring, 0);
@@ -45,19 +44,13 @@ Server::Server(std::unique_ptr<InferenceSession> session,
   cache_bytes_ = options_.cache_bytes >= 0
                      ? options_.cache_bytes
                      : ResolveKnob(kCacheBytesKnob, nullptr);
-  latencies_.assign(static_cast<size_t>(options_.latency_window), 0);
+  latencies_.Reset(options_.latency_window);
   batch_size_hist_.assign(static_cast<size_t>(max_batch_) + 1, 0);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    StatusOr<ModelState*> added = fleet_.Add(
-        options_.default_model_name, std::move(session), options_.model_factory);
-    DTDBD_CHECK(added.ok()) << added.status().ToString();
-    default_state_ = added.value();
-    if (cache_bytes_ > 0) {
-      default_state_->cache = std::make_unique<PredictionCache>(cache_bytes_);
-    }
-    InitModelStatsLocked(default_state_);
-  }
+  const Status added = AddModel(options_.default_model_name,
+                                std::move(session), options_.model_factory);
+  DTDBD_CHECK(added.ok()) << added.ToString();
+  // No other thread exists yet, so the registry needs no lock here.
+  default_state_ = fleet_.Find(options_.default_model_name);
   pools_.reserve(static_cast<size_t>(num_workers_));
   workers_.reserve(static_cast<size_t>(num_workers_));
   for (int i = 0; i < num_workers_; ++i) {
@@ -75,29 +68,25 @@ Server::Server(std::unique_ptr<InferenceSession> session,
 
 Server::~Server() { Stop(); }
 
-void Server::InitModelStatsLocked(ModelState* model) {
-  // Nested stats_mu_ under mu_ — the one-way mu_ -> stats_mu_ order is
-  // deadlock-free (no path locks stats_mu_ first). Sizing the ring inside
-  // the same mu_ hold that registers the model guarantees no request can
-  // be served (let alone record a latency) against an unsized ring.
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  model->latencies.assign(static_cast<size_t>(options_.latency_window), 0);
-  model->primary_quality = QualityMonitor(options_.feedback_ring);
-  model->canary_quality = QualityMonitor(options_.feedback_ring);
-}
-
 Status Server::AddModel(
     const std::string& name, std::unique_ptr<InferenceSession> session,
     std::function<std::unique_ptr<models::FakeNewsModel>()> factory) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopped_) return Status::Unavailable("server is stopped");
-  StatusOr<ModelState*> added =
-      fleet_.Add(name, std::move(session), std::move(factory));
-  if (!added.ok()) return added.status();
+  DTDBD_ASSIGN_OR_RETURN(
+      ModelState* model,
+      fleet_.Add(name, std::move(session), std::move(factory)));
   if (cache_bytes_ > 0) {
-    added.value()->cache = std::make_unique<PredictionCache>(cache_bytes_);
+    model->cache = std::make_unique<PredictionCache>(cache_bytes_);
   }
-  InitModelStatsLocked(added.value());
+  // Nested stats_mu_ under mu_ — the one-way mu_ -> stats_mu_ order is
+  // deadlock-free (no path locks stats_mu_ first). Sizing the ring inside
+  // the same mu_ hold that registers the model guarantees no request can
+  // be served (let alone record a latency) against an unsized ring.
+  std::lock_guard<std::mutex> stats(stats_mu_);
+  model->latencies.Reset(options_.latency_window);
+  model->primary_quality = QualityMonitor(options_.feedback_ring);
+  model->canary_quality = QualityMonitor(options_.feedback_ring);
   return Status::Ok();
 }
 
@@ -183,21 +172,12 @@ void Server::SubmitAsync(InferenceRequest request, int64_t deadline_nanos,
       // the latency rings) but never into batches_run — no forward ran.
       ModelState* model = job.model;
       admitted_.fetch_add(1, std::memory_order_relaxed);
-      served_ok_.fetch_add(1, std::memory_order_relaxed);
-      const int64_t reply_nanos = clock_->NowNanos();
+      const int64_t nanos = clock_->NowNanos() - job.enqueue_nanos;
       {
         std::lock_guard<std::mutex> stats(stats_mu_);
         ++model->served_ok;
-        const int64_t nanos = reply_nanos - job.enqueue_nanos;
-        latencies_[static_cast<size_t>(latency_next_)] = nanos;
-        latency_next_ = (latency_next_ + 1) % options_.latency_window;
-        if (latency_count_ < options_.latency_window) ++latency_count_;
-        model->latencies[static_cast<size_t>(model->latency_next)] = nanos;
-        model->latency_next =
-            (model->latency_next + 1) % options_.latency_window;
-        if (model->latency_count < options_.latency_window) {
-          ++model->latency_count;
-        }
+        latencies_.Push(nanos);
+        model->latencies.Push(nanos);
       }
       Prediction hit;
       hit.p_fake = entry.p_fake;
@@ -239,7 +219,6 @@ void Server::SubmitAsync(InferenceRequest request, int64_t deadline_nanos,
                   : std::max(group->group_deadline_nanos, job.deadline_nanos);
         }
         admitted_.fetch_add(1, std::memory_order_relaxed);
-        deduped_.fetch_add(1, std::memory_order_relaxed);
         {
           std::lock_guard<std::mutex> stats(stats_mu_);
           ++job.model->deduped;
@@ -314,7 +293,6 @@ Status Server::RecordFeedback(const Feedback& feedback) {
         !model->canary_draining.load(std::memory_order_acquire);
     if (canary_active) canary_options = model->canary_options;
   }
-  feedback_recorded_.fetch_add(1, std::memory_order_relaxed);
 
   bool trigger_rollback = false;
   std::string rollback_reason;
@@ -764,16 +742,15 @@ void Server::ServeBatch(ModelState* model, bool use_canary,
   // dedup group sheds sheds every member with it — the group deadline is
   // the max over members, so an expired group means every member's own
   // deadline is expired too (and the mu_-ordered clock reads guarantee no
-  // still-live follower attached after this timestamp was taken).
+  // still-live follower attached after this timestamp was taken). The shed
+  // count commits before any shed member hears back, and the sheds leave
+  // before the forward, so they never wait on their live batchmates.
   std::vector<Job*> live;
   live.reserve(jobs->size());
-  int64_t local_shed = 0;
+  std::vector<std::function<void(StatusOr<Prediction>)>> shed;
   for (Job& job : *jobs) {
     if (job.deadline_nanos > 0 && dequeue_nanos > job.deadline_nanos) {
-      shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-      ++local_shed;
-      job.done(Status::DeadlineExceeded(
-          "request shed: deadline expired before serving"));
+      shed.push_back(std::move(job.done));
       if (job.group != nullptr) {
         std::vector<DedupFollower> followers;
         {
@@ -781,23 +758,24 @@ void Server::ServeBatch(ModelState* model, bool use_canary,
           DetachGroupLocked(model, job.group, &followers);
         }
         for (DedupFollower& follower : followers) {
-          shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-          ++local_shed;
-          follower.done(Status::DeadlineExceeded(
-              "request shed: deadline expired before serving"));
+          shed.push_back(std::move(follower.done));
         }
       }
     } else {
       live.push_back(&job);
     }
   }
-  if (live.empty()) {
-    if (local_shed > 0) {
+  if (!shed.empty()) {
+    {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      model->shed_deadline += local_shed;
+      model->shed_deadline += static_cast<int64_t>(shed.size());
     }
-    return;
+    for (auto& done : shed) {
+      done(Status::DeadlineExceeded(
+          "request shed: deadline expired before serving"));
+    }
   }
+  if (live.empty()) return;
 
   std::vector<const InferenceRequest*> requests;
   requests.reserve(live.size());
@@ -829,8 +807,6 @@ void Server::ServeBatch(ModelState* model, bool use_canary,
   }
   const int64_t done_nanos = clock_->NowNanos();
   const int64_t batch_compute = done_nanos - dequeue_nanos;
-  queue_wait_nanos_.fetch_add(queue_wait, std::memory_order_relaxed);
-  compute_nanos_.fetch_add(batch_compute, std::memory_order_relaxed);
 
   // Stamp fleet attribution and classify. No reply leaves yet: every
   // counter and histogram cell a caller could observe right after its
@@ -849,6 +825,18 @@ void Server::ServeBatch(ModelState* model, bool use_canary,
   int64_t local_ok = 0;
   int64_t local_invalid = 0;
   int64_t local_internal = 0;
+  int64_t fanout_shed = 0;
+  const auto tally = [&](const StatusOr<Prediction>& result,
+                         int64_t latency_nanos) {
+    if (result.ok()) {
+      ++local_ok;
+      ok_latencies.push_back(latency_nanos);
+    } else if (result.status().code() == StatusCode::kInvalidArgument) {
+      ++local_invalid;
+    } else {
+      ++local_internal;
+    }
+  };
   for (size_t i = 0; i < live.size(); ++i) {
     StatusOr<Prediction>& result = results[i];
     if (result.ok()) {
@@ -857,16 +845,8 @@ void Server::ServeBatch(ModelState* model, bool use_canary,
       if (shadow != nullptr) {
         baseline[i] = {true, result.value().p_fake, result.value().label};
       }
-      ++local_ok;
-      served_ok_.fetch_add(1, std::memory_order_relaxed);
-      ok_latencies.push_back(done_nanos - live[i]->enqueue_nanos);
-    } else if (result.status().code() == StatusCode::kInvalidArgument) {
-      ++local_invalid;
-      invalid_requests_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ++local_internal;
-      internal_errors_.fetch_add(1, std::memory_order_relaxed);
     }
+    tally(result, done_nanos - live[i]->enqueue_nanos);
   }
 
   // Cache insert + dedup fan-out (DESIGN.md §12). Insertion happens BEFORE
@@ -906,26 +886,14 @@ void Server::ServeBatch(ModelState* model, bool use_canary,
           std::max(dequeue_nanos, follower.enqueue_nanos);
       if (follower.deadline_nanos > 0 &&
           effective > follower.deadline_nanos) {
-        shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-        ++local_shed;
+        ++fanout_shed;
         follower_replies.push_back(
             {std::move(follower.done),
              Status::DeadlineExceeded(
                  "request shed: deadline expired before serving")});
         continue;
       }
-      if (result.ok()) {
-        ++local_ok;
-        served_ok_.fetch_add(1, std::memory_order_relaxed);
-        ok_latencies.push_back(
-            std::max<int64_t>(0, done_nanos - follower.enqueue_nanos));
-      } else if (result.status().code() == StatusCode::kInvalidArgument) {
-        ++local_invalid;
-        invalid_requests_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        ++local_internal;
-        internal_errors_.fetch_add(1, std::memory_order_relaxed);
-      }
+      tally(result, std::max<int64_t>(0, done_nanos - follower.enqueue_nanos));
       follower_replies.push_back({std::move(follower.done), result});
     }
   }
@@ -937,19 +905,15 @@ void Server::ServeBatch(ModelState* model, bool use_canary,
     ++batches_run_;
     batched_elements_ += static_cast<int64_t>(live.size());
     ++batch_size_hist_[live.size()];
-    model->shed_deadline += local_shed;
+    queue_wait_nanos_ += queue_wait;
+    compute_nanos_ += batch_compute;
+    model->shed_deadline += fanout_shed;
     model->served_ok += local_ok;
     model->invalid_requests += local_invalid;
     model->internal_errors += local_internal;
     for (int64_t nanos : ok_latencies) {
-      latencies_[static_cast<size_t>(latency_next_)] = nanos;
-      latency_next_ = (latency_next_ + 1) % options_.latency_window;
-      if (latency_count_ < options_.latency_window) ++latency_count_;
-      model->latencies[static_cast<size_t>(model->latency_next)] = nanos;
-      model->latency_next = (model->latency_next + 1) % options_.latency_window;
-      if (model->latency_count < options_.latency_window) {
-        ++model->latency_count;
-      }
+      latencies_.Push(nanos);
+      model->latencies.Push(nanos);
     }
     // Canary monitor: both variants feed the shared window (reading the
     // canary session pointer here is safe — this batch is still in flight,
@@ -1109,7 +1073,6 @@ StatusOr<std::unique_ptr<InferenceSession>> Server::LoadCandidate(
   Status last = Status::Ok();
   const int attempts = std::max(1, options_.reload_max_attempts);
   for (int attempt = 1; attempt <= attempts; ++attempt) {
-    reload_attempts_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++model->reload_attempts;
@@ -1119,13 +1082,11 @@ StatusOr<std::unique_ptr<InferenceSession>> Server::LoadCandidate(
     StatusOr<std::unique_ptr<InferenceSession>> loaded =
         LoadSessionFor(model, path, version);
     if (loaded.ok()) {
-      reload_successes_.fetch_add(1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++model->reload_successes;
       return loaded;
     }
     last = loaded.status();
-    reload_failures_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++model->reload_failures;
@@ -1180,32 +1141,6 @@ Status Server::RunReload(ModelState* model, const std::string& path) {
   return candidate.status();
 }
 
-// p50/p99 over the first `count` slots of a latency ring. The ring is
-// unordered (it wraps), so order statistics need a sorted copy. The pick
-// is canonical nearest-rank — rank = ceil(q * count), clamped into
-// [1, count] — which the old round-half-up interpolation was not: for
-// count == 2 it returned the UPPER sample as p50, and its index was only
-// accidentally in range (q * (count-1) + 0.5 flirts with `count` for
-// q -> 1). Nearest-rank can never read past the filled window, returns
-// the single sample for count == 1, and is monotone in q so p99 is never
-// a lower slot than p50.
-void LatencyPercentiles(const std::vector<int64_t>& ring, int64_t count,
-                        double* p50_ms, double* p99_ms) {
-  if (count <= 0) return;
-  count = std::min<int64_t>(count, static_cast<int64_t>(ring.size()));
-  std::vector<int64_t> window(ring.begin(), ring.begin() + count);
-  std::sort(window.begin(), window.end());
-  const auto pick = [&window](double q) {
-    int64_t rank = static_cast<int64_t>(
-        std::ceil(q * static_cast<double>(window.size())));
-    rank = std::max<int64_t>(1, rank);
-    rank = std::min<int64_t>(rank, static_cast<int64_t>(window.size()));
-    return static_cast<double>(window[static_cast<size_t>(rank - 1)]) / 1e6;
-  };
-  *p50_ms = pick(0.50);
-  *p99_ms = pick(0.99);
-}
-
 HealthReport Server::Health() const {
   HealthReport report;
   // Phase 1 (mu_): queue depths, registry snapshot, and session-pointer
@@ -1246,26 +1181,12 @@ HealthReport Server::Health() const {
       rejected_queue_full_.load(std::memory_order_relaxed);
   report.rejected_unknown_model =
       rejected_unknown_model_.load(std::memory_order_relaxed);
-  report.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-  report.served_ok = served_ok_.load(std::memory_order_relaxed);
-  report.invalid_requests = invalid_requests_.load(std::memory_order_relaxed);
-  report.internal_errors = internal_errors_.load(std::memory_order_relaxed);
-  report.reload_attempts = reload_attempts_.load(std::memory_order_relaxed);
-  report.reload_successes = reload_successes_.load(std::memory_order_relaxed);
-  report.reload_failures = reload_failures_.load(std::memory_order_relaxed);
-  // Top-level reload/version fields mirror the DEFAULT model — the
+  // Top-level version/degraded flags mirror the DEFAULT model — the
   // pre-fleet contract every existing consumer was written against.
   report.degraded = default_state_->degraded.load(std::memory_order_acquire);
   report.model_version =
       default_state_->version.load(std::memory_order_acquire);
   report.watchdog_ticks = watchdog_ticks_.load(std::memory_order_relaxed);
-  report.queue_wait_ms_total =
-      static_cast<double>(queue_wait_nanos_.load(std::memory_order_relaxed)) /
-      1e6;
-  report.compute_ms_total =
-      static_cast<double>(compute_nanos_.load(std::memory_order_relaxed)) /
-      1e6;
-  report.feedback_recorded = feedback_recorded_.load(std::memory_order_relaxed);
   report.quality_degraded =
       default_state_->quality_degraded.load(std::memory_order_acquire);
   for (size_t i = 0; i < states.size(); ++i) {
@@ -1276,13 +1197,16 @@ HealthReport Server::Health() const {
         states[i]->quality_degraded.load(std::memory_order_acquire);
   }
   // Phase 2 (stats_mu_): counters, latency windows, canary/shadow
-  // telemetry. Never held together with mu_ (one-way order, and Health
-  // releases mu_ first anyway).
+  // telemetry, and the fleet totals as sums of the per-model counters, all
+  // from one snapshot. Never held together with mu_ (one-way order, and
+  // Health releases mu_ first anyway).
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     report.last_reload_error = default_state_->last_reload_error;
     report.batch_size_histogram = batch_size_hist_;
     report.batches_run = batches_run_;
+    report.queue_wait_ms_total = static_cast<double>(queue_wait_nanos_) / 1e6;
+    report.compute_ms_total = static_cast<double>(compute_nanos_) / 1e6;
     // Guard both splits against an empty window: before the first batch the
     // denominators are zero and the averages must read 0.0, not NaN.
     report.avg_batch_size =
@@ -1298,10 +1222,9 @@ HealthReport Server::Health() const {
         batches_run_ > 0
             ? report.compute_ms_total / static_cast<double>(batches_run_)
             : 0.0;
-    report.latency_samples = latency_count_;
-    report.latency_no_samples = latency_count_ == 0;
-    LatencyPercentiles(latencies_, latency_count_, &report.p50_latency_ms,
-                       &report.p99_latency_ms);
+    report.latency_samples = latencies_.count();
+    report.latency_no_samples = latencies_.count() == 0;
+    latencies_.Percentiles(&report.p50_latency_ms, &report.p99_latency_ms);
     for (size_t i = 0; i < states.size(); ++i) {
       ModelState* m = states[i];
       ModelHealth& health = report.models[i];
@@ -1313,10 +1236,9 @@ HealthReport Server::Health() const {
       health.reload_attempts = m->reload_attempts;
       health.reload_successes = m->reload_successes;
       health.reload_failures = m->reload_failures;
-      health.latency_samples = m->latency_count;
-      health.latency_no_samples = m->latency_count == 0;
-      LatencyPercentiles(m->latencies, m->latency_count,
-                         &health.p50_latency_ms, &health.p99_latency_ms);
+      health.latency_samples = m->latencies.count();
+      health.latency_no_samples = m->latencies.count() == 0;
+      m->latencies.Percentiles(&health.p50_latency_ms, &health.p99_latency_ms);
       health.canary.window_canary_served = m->window.canary_served;
       health.canary.windows_evaluated = m->windows_evaluated;
       health.canary.started = m->canaries_started;
@@ -1347,6 +1269,16 @@ HealthReport Server::Health() const {
       health.quality.bias_spread = snapshot.bias_spread;
       health.quality.bias_spread_valid = snapshot.bias_spread_valid;
       health.quality.domains = snapshot.domains;
+      report.served_ok += m->served_ok;
+      report.invalid_requests += m->invalid_requests;
+      report.internal_errors += m->internal_errors;
+      report.shed_deadline += m->shed_deadline;
+      report.reload_attempts += m->reload_attempts;
+      report.reload_successes += m->reload_successes;
+      report.reload_failures += m->reload_failures;
+      report.deduped += m->deduped;
+      report.feedback_recorded +=
+          m->feedback_total + m->canary_feedback_total;
     }
   }
   // Phase 3 (cache internals): each PredictionCache is internally locked,
@@ -1354,7 +1286,6 @@ HealthReport Server::Health() const {
   // per-model stats into the top-level report as we go.
   report.cache_enabled = cache_bytes_ > 0;
   report.cache_bytes_limit = cache_bytes_;
-  report.deduped = deduped_.load(std::memory_order_relaxed);
   for (size_t i = 0; i < states.size(); ++i) {
     ModelState* m = states[i];
     ModelHealth& health = report.models[i];

@@ -19,7 +19,7 @@
 // never share kernel-dispatch state; shard boundaries are a pure function
 // of (n, grain, nthreads), so which pool runs a kernel cannot change any
 // result. Client threads only touch the queue + promise; the watchdog
-// thread only reads atomics.
+// thread calls Health() like any other reader (mu_, then stats_mu_).
 //
 // Micro-batching (see DESIGN.md §9.5): a worker that dequeues an inference
 // request greedily coalesces up to `max_batch` consecutive queued
@@ -87,8 +87,9 @@
 // Any load step failing is retried with exponential backoff up to
 // `reload_max_attempts`; on exhaustion the model keeps its last-good
 // primary and marks itself degraded (cleared by the next success). The
-// top-level HealthReport reload fields mirror the DEFAULT model for
-// backward compatibility; per-model state lives in HealthReport::models.
+// top-level HealthReport degraded / last_reload_error / model_version
+// mirror the DEFAULT model for backward compatibility; per-model state
+// lives in HealthReport::models.
 #ifndef DTDBD_SERVE_SERVER_H_
 #define DTDBD_SERVE_SERVER_H_
 
@@ -219,21 +220,17 @@ struct ServerOptions {
   std::function<std::unique_ptr<models::FakeNewsModel>()> model_factory;
 };
 
-// Nearest-rank percentiles over the first `count` slots of an (unordered)
-// latency ring, in milliseconds. p50 is the ceil(0.50*count)-th smallest
-// sample, p99 the ceil(0.99*count)-th; count==1 returns that sample for
-// both, count<=0 leaves the outputs untouched (the caller's
-// latency_no_samples flag owns that case). By construction the picked
-// rank is always in [1, count] — never past the filled window — and is
-// monotone in q, so p99 can never come from a lower slot than p50.
-// Exposed for the table-driven tests.
-void LatencyPercentiles(const std::vector<int64_t>& ring, int64_t count,
-                        double* p50_ms, double* p99_ms);
-
 // One watchdog/Health() snapshot. Counters are cumulative since start.
-// Top-level fields are fleet aggregates, except model_version / degraded /
-// last_reload_error which mirror the DEFAULT model (the pre-fleet
-// contract); `models` carries the per-model breakdown.
+// `models` carries the per-model breakdown, and each per-model counter is
+// the only copy of its fact: every top-level count with a per-model twin
+// (served_ok, shed_deadline, invalid_requests, internal_errors, the reload
+// counters, deduped, feedback_recorded, the cache totals) is the sum over
+// `models`, taken from the same snapshot. Admission-side counts (submitted,
+// admitted, the rejections) have no per-model twin. model_version /
+// degraded / last_reload_error / quality_degraded mirror the DEFAULT model
+// (the pre-fleet contract). Counters commit before the reply they count
+// leaves, so a caller that reads Health() after its answer (even from its
+// SubmitAsync callback) already sees itself counted.
 struct HealthReport {
   int64_t queue_depth = 0;
   int64_t max_queue_depth = 0;
@@ -485,10 +482,6 @@ class Server {
       ModelState* model, const std::string& path);
   // Barrier-side of the canary auto-rollback (the control closure).
   Status RollbackCanary(ModelState* model, const std::string& reason);
-  // Initializes a model's latency ring. Caller holds mu_ (nested
-  // stats_mu_ acquisition; the one-way mu_ -> stats_mu_ order is safe
-  // because no path locks stats_mu_ first).
-  void InitModelStatsLocked(ModelState* model);
 
   const ServerOptions options_;
   const Clock* const clock_;
@@ -519,30 +512,21 @@ class Server {
   int64_t control_pending_ = 0;
   bool stopped_ = false;
 
+  // Admission-side counts and watchdog ticks, which no model owns. Every
+  // served-side count lives once, in its ModelState; Health() sums them.
   std::atomic<int64_t> submitted_{0};
   std::atomic<int64_t> admitted_{0};
   std::atomic<int64_t> rejected_queue_full_{0};
   std::atomic<int64_t> rejected_unknown_model_{0};
-  std::atomic<int64_t> shed_deadline_{0};
-  std::atomic<int64_t> served_ok_{0};
-  std::atomic<int64_t> deduped_{0};
-  std::atomic<int64_t> invalid_requests_{0};
-  std::atomic<int64_t> internal_errors_{0};
-  std::atomic<int64_t> reload_attempts_{0};
-  std::atomic<int64_t> reload_successes_{0};
-  std::atomic<int64_t> reload_failures_{0};
-  std::atomic<int64_t> feedback_recorded_{0};
   std::atomic<int64_t> watchdog_ticks_{0};
-  std::atomic<int64_t> queue_wait_nanos_{0};
-  std::atomic<int64_t> compute_nanos_{0};
 
   mutable std::mutex stats_mu_;  // guards aggregate + per-model stats blocks
-  std::vector<int64_t> latencies_;  // aggregate ring of size latency_window
-  int64_t latency_next_ = 0;
-  int64_t latency_count_ = 0;
+  LatencyRing latencies_;  // aggregate window across the fleet
   std::vector<int64_t> batch_size_hist_;  // [0, max_batch_], index 0 unused
   int64_t batches_run_ = 0;
   int64_t batched_elements_ = 0;  // live elements across all batches
+  int64_t queue_wait_nanos_ = 0;  // admission -> dequeue, batched elements
+  int64_t compute_nanos_ = 0;     // forward wall-clock across batches
 
   mutable std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;

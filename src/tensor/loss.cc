@@ -219,25 +219,6 @@ void NegativeEntropyBackward(Node* self) {
 const Op* const kNegativeEntropyLoss = OpRegistry::Get().Register(
     {"NegativeEntropyLoss", 1, &NegativeEntropyBackward});
 
-// ----- MseLoss -----
-
-void MseBackward(Node* self) {
-  Node* an = self->inputs[0].get();
-  Node* bn = self->inputs[1].get();
-  const int64_t n = an->numel;
-  const float* pa = an->cdata();
-  const float* pb = bn->cdata();
-  const float g = self->grad[0] * 2.0f / static_cast<float>(n);
-  for (int64_t i = 0; i < n; ++i) {
-    const float d = g * (pa[i] - pb[i]);
-    if (an->requires_grad) an->grad[i] += d;
-    if (bn->requires_grad) bn->grad[i] -= d;
-  }
-}
-
-const Op* const kMseLoss =
-    OpRegistry::Get().Register({"MseLoss", 2, &MseBackward});
-
 }  // namespace
 
 Tensor CrossEntropyLoss(const Tensor& logits_in,
@@ -355,23 +336,6 @@ Tensor NegativeEntropyLoss(const Tensor& logits_in) {
   }
   loss /= static_cast<float>(b);
   return MakeOp(kNegativeEntropyLoss, {1}, {loss}, {logits}, state);
-}
-
-Tensor MseLoss(const Tensor& a_in, const Tensor& b_in) {
-  DTDBD_CHECK(a_in.shape() == b_in.shape());
-  Tensor a = Contiguous(a_in);
-  Tensor b = Contiguous(b_in);
-  const int64_t n = a.numel();
-  ScopedOpTimer timer(kMseLoss);
-  const float* pa = a.data().data();
-  const float* pb = b.data().data();
-  float loss = 0.0f;
-  for (int64_t i = 0; i < n; ++i) {
-    const float d = pa[i] - pb[i];
-    loss += d * d;
-  }
-  loss /= static_cast<float>(n);
-  return MakeOp(kMseLoss, {1}, {loss}, {a, b});
 }
 
 }  // namespace dtdbd::tensor

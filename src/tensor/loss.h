@@ -43,9 +43,6 @@ Tensor KlFromLogProbs(const Tensor& lt, const Tensor& ls, float tau);
 // which is the information-entropy term of the DAT-IE loss.
 Tensor NegativeEntropyLoss(const Tensor& logits);
 
-// Mean squared error between same-shape tensors.
-Tensor MseLoss(const Tensor& a, const Tensor& b);
-
 }  // namespace dtdbd::tensor
 
 #endif  // DTDBD_TENSOR_LOSS_H_

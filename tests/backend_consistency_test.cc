@@ -209,12 +209,10 @@ std::vector<Case> AllCases() {
     std::vector<int> labels(30);
     for (int i = 0; i < 30; ++i) labels[i] = i % 4;
     Tensor teacher = Rand({30, 4}, 18, /*requires_grad=*/false);
-    Tensor a = Rand({50, 20}, 19);
-    Tensor b = Rand({50, 20}, 20, /*requires_grad=*/false);
     Tensor loss = Add(Add(CrossEntropyLoss(logits, labels),
                           DistillKlLoss(teacher, logits, 2.0f)),
-                      Add(NegativeEntropyLoss(logits), MseLoss(a, b)));
-    return Built{{logits, a}, loss};
+                      NegativeEntropyLoss(logits));
+    return Built{{logits}, loss};
   }});
 
   cases.push_back({"fused_chains", [] {

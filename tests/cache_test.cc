@@ -16,6 +16,7 @@
 
 #include "common/flags.h"
 #include "data/generator.h"
+#include "health_sums.h"
 #include "models/model.h"
 #include "scoped_env.h"
 #include "serve/fleet.h"
@@ -288,6 +289,7 @@ TEST_F(CacheTest, CacheHitMatchesMissBitwiseAcrossZooWorkersAndThreads) {
                   static_cast<int64_t>(kSamples));
         EXPECT_EQ(health.models[0].cache.inserted,
                   static_cast<int64_t>(kSamples));
+        ExpectTotalsAreModelSums(health);
       }
     }
   }
@@ -307,6 +309,7 @@ TEST_F(CacheTest, CacheBytesZeroIsThePreCachePath) {
   EXPECT_EQ(health.batches_run, 3);  // every request ran a forward
   ASSERT_EQ(health.models.size(), 1u);
   EXPECT_FALSE(health.models[0].cache.enabled);
+  ExpectTotalsAreModelSums(health);
 }
 
 // ----- In-flight dedup -----
@@ -349,6 +352,7 @@ TEST_F(CacheTest, DedupFansOneForwardToAllIdenticalRequests) {
   ASSERT_EQ(health.models.size(), 1u);
   EXPECT_EQ(health.models[0].cache.deduped + health.models[0].cache.hits,
             kBurst - 1);
+  ExpectTotalsAreModelSums(health);
 }
 
 TEST_F(CacheTest, DedupFollowerWithEarlierDeadlineShedsIndependently) {
@@ -388,6 +392,7 @@ TEST_F(CacheTest, DedupFollowerWithEarlierDeadlineShedsIndependently) {
   EXPECT_EQ(health.deduped, 1);
   EXPECT_EQ(health.shed_deadline, 1);
   EXPECT_EQ(health.served_ok, 2);  // the pin and the leader
+  ExpectTotalsAreModelSums(health);
 }
 
 TEST_F(CacheTest, DedupFollowerWithLaterDeadlineKeepsGroupAlive) {
@@ -431,6 +436,7 @@ TEST_F(CacheTest, DedupFollowerWithLaterDeadlineKeepsGroupAlive) {
   EXPECT_EQ(health.deduped, 1);
   EXPECT_EQ(health.shed_deadline, 0);
   EXPECT_EQ(health.served_ok, 3);  // pin + leader + follower
+  ExpectTotalsAreModelSums(health);
 }
 
 TEST_F(CacheTest, ExpiredDeadlineIsNeverServedFromCache) {
@@ -457,6 +463,7 @@ TEST_F(CacheTest, ExpiredDeadlineIsNeverServedFromCache) {
   EXPECT_EQ(health.cache_hits, 1);  // the expired request never looked up
   EXPECT_EQ(health.shed_deadline, 1);
   EXPECT_EQ(health.served_ok, 2);
+  ExpectTotalsAreModelSums(health);
 }
 
 TEST_F(CacheTest, ErrorsAreFannedToFollowersNotCached) {
@@ -490,6 +497,7 @@ TEST_F(CacheTest, ErrorsAreFannedToFollowersNotCached) {
   // The pin's OK answer is the only insert; the fanned error never lands.
   EXPECT_EQ(health.models[0].cache.inserted, 1);
   EXPECT_EQ(health.models[0].cache.deduped, 1);
+  ExpectTotalsAreModelSums(health);
 }
 
 }  // namespace

@@ -35,6 +35,7 @@
 #include "drift/drift.h"
 #include "dtdbd/trainer.h"
 #include "metrics/metrics.h"
+#include "health_sums.h"
 #include "models/model.h"
 #include "net/client.h"
 #include "net/protocol.h"
@@ -414,6 +415,7 @@ TEST_F(DriftSoakTest, FaultInjectedDriftSoakWithRollbackAndAdaptation) {
   EXPECT_EQ(final_health.feedback_recorded, pipeline.delivered);
   EXPECT_EQ(final_health.invalid_requests, 0);
   EXPECT_EQ(final_health.internal_errors, 0);
+  serve::ExpectTotalsAreModelSums(final_health);
 
   // Adaptation recovery vs the frozen control, judged offline on the full
   // unseen-domain set: the fine-tuned replica must beat the frozen weights

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
+#include "health_sums.h"
 #include "models/model.h"
 #include "net/client.h"
 #include "net/protocol.h"
@@ -335,6 +336,7 @@ TEST_F(FleetTest, NamedRoutingServesEachModelAndRejectsUnknown) {
     EXPECT_FALSE(m.latency_no_samples);
     EXPECT_GT(m.latency_samples, 0);
   }
+  ExpectTotalsAreModelSums(health);
   server.Stop();
 }
 
@@ -363,6 +365,9 @@ TEST_F(FleetTest, ReloadNamedModelLeavesSiblingsUntouched) {
   // Unknown names fail the control path with the same typed error.
   EXPECT_EQ(server.ReloadModelFromCheckpoint("nope", path).get().code(),
             StatusCode::kNotFound);
+  const HealthReport health = server.Health();
+  EXPECT_EQ(health.reload_successes, 1);
+  ExpectTotalsAreModelSums(health);
   server.Stop();
 }
 
@@ -476,6 +481,8 @@ TEST_F(FleetTest, CanaryRegressionAutoRollsBackWithZeroDroppedRequests) {
       << health.models[0].canary.last_event;
   EXPECT_EQ(health.models[0].version, 1);
   EXPECT_FALSE(health.models[0].degraded);
+  EXPECT_EQ(health.internal_errors, injected);
+  ExpectTotalsAreModelSums(health);
 
   // Post-rollback the model serves cleanly on the last-good primary.
   const auto after = server.Predict(ValidRequest());
@@ -731,6 +738,7 @@ TEST_F(FleetTest, WatchdogSurvivesModelsRegisteredMidWindow) {
   }
   EXPECT_EQ(final_report.num_models, 9);
   EXPECT_GT(final_report.watchdog_ticks, 0);
+  ExpectTotalsAreModelSums(final_report);
   server.Stop();
 }
 
@@ -810,6 +818,7 @@ TEST_F(FleetTest, SocketRoutesNamedModelsAcrossProtocolVersions) {
   EXPECT_EQ(health.models[0].shadow.scored, kDefaultRequests);
   EXPECT_EQ(health.models[0].shadow.shadow_errors, 0);
   EXPECT_EQ(health.models[2].shadow.scored, 0);
+  ExpectTotalsAreModelSums(health);
 }
 
 }  // namespace

@@ -181,10 +181,6 @@ std::vector<GradCase> MakeCases() {
                    }});
   cases.push_back({"NegativeEntropy", {4, 3},
                    [](const Tensor& x) { return NegativeEntropyLoss(x); }});
-  cases.push_back({"MseLoss", {4, 3},
-                   [](const Tensor& x) {
-                     return MseLoss(x, Partner({4, 3}, 20));
-                   }});
   return cases;
 }
 

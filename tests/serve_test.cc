@@ -307,6 +307,29 @@ TEST_F(ServeTest, ExpiredDeadlineIsShedWithTypedStatus) {
   EXPECT_EQ(health.served_ok, 1);
 }
 
+TEST_F(ServeTest, ShedIsCountedBeforeItsReplyLeaves) {
+  // Counters commit before replies: a shed request's own callback already
+  // finds itself counted, in its model's ledger and in the fleet total
+  // summed from it. (A shed reply leaves with no server lock held, so the
+  // callback may take the Health() snapshot.)
+  ManualClock clock;
+  clock.Set(1'000'000);
+  ServerOptions options = BaseOptions();
+  options.clock = &clock;
+  Server server(MakeSession("MDFEND", 3), options);
+  std::promise<HealthReport> seen;
+  server.SubmitAsync(ValidRequest(), /*deadline_nanos=*/500'000,
+                     [&server, &seen](StatusOr<Prediction> result) {
+                       EXPECT_EQ(result.status().code(),
+                                 StatusCode::kDeadlineExceeded);
+                       seen.set_value(server.Health());
+                     });
+  const HealthReport health = seen.get_future().get();
+  EXPECT_EQ(health.shed_deadline, 1);
+  ASSERT_EQ(health.models.size(), 1u);
+  EXPECT_EQ(health.models[0].shed_deadline, 1);
+}
+
 TEST_F(ServeTest, AdmissionControlRejectsWhenQueueFull) {
   train::FaultInjector injector(7);
   injector.set_slow_load_nanos(200'000'000);  // pin the worker for 200 ms

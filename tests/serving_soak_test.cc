@@ -18,6 +18,7 @@
 
 #include "data/generator.h"
 #include "dtdbd/trainer.h"
+#include "health_sums.h"
 #include "models/model.h"
 #include "scoped_env.h"
 #include "serve/server.h"
@@ -300,6 +301,7 @@ TEST_F(ServingSoakTest, ElevenThousandFaultyRequestsAcrossWorkersAndThreads) {
     }
     EXPECT_GT(health.batches_run, 0);
     EXPECT_GE(health.avg_batch_size, 1.0);
+    ExpectTotalsAreModelSums(health);
 
     server->Stop();
     total_ok += ok;
