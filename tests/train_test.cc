@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
+#include "dtdbd/dat.h"
 #include "dtdbd/dtdbd.h"
 #include "dtdbd/trainer.h"
 #include "models/model.h"
@@ -237,6 +238,24 @@ TEST_F(TrainRobustnessTest, DtdbdGoldenStudentHash) {
                                   splits_.train, splits_.val, opts);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_EQ(ParamBitsHash(student->NamedParameters()), 0x6c7ca2b164961426ULL);
+}
+
+// Golden DAT-IE teacher: pins the supervised loop's domain-CE + entropy
+// branch (alpha > 0, beta > 0), which the golden student above does not
+// reach because its teachers train without a domain loss. Must also hold
+// with DTDBD_NO_SIMD=1.
+TEST_F(TrainRobustnessTest, DatIeGoldenTeacherHash) {
+  DatIeOptions opts;
+  opts.train.epochs = 2;
+  opts.train.seed = 5;
+  ASSERT_GT(opts.alpha, 0.0f);
+  ASSERT_GT(opts.beta_ratio, 0.0f);
+  TrainResult result;
+  auto teacher = TrainUnbiasedTeacher("TextCNN-S", config_, splits_.train,
+                                      &splits_.val, opts, &result);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  ASSERT_EQ(result.train_loss_per_epoch.size(), 2u);
+  EXPECT_EQ(ParamBitsHash(teacher->NamedParameters()), 0xbcbb16817e67e213ULL);
 }
 
 TEST_F(TrainRobustnessTest, MidEpochCrashResumesFromLastCheckpoint) {
