@@ -81,7 +81,6 @@ int main(int argc, char** argv) {
   DtdbdOptions dopts;
   dopts.epochs = total_epochs / 2;
   dopts.checkpoint_path = ckpt_path;
-  dopts.checkpoint_every = 1;
   DtdbdResult first_half = TrainDtdbd(half_trained.get(), unbiased.get(),
                                       clean.get(), splits.train, splits.val,
                                       dopts);

@@ -8,7 +8,7 @@
 // The per-batch objective is Eq. 13:
 //   L = w_ADD * L_ADD + w_DKD * L_DKD + w_S * L_CE,
 // with (w_ADD, w_DKD) driven by the momentum-based dynamic adjustment
-// algorithm between epochs.
+// algorithm between epochs. The epoch loop is the teachers' (train/loop.h).
 #ifndef DTDBD_DTDBD_DTDBD_H_
 #define DTDBD_DTDBD_DTDBD_H_
 
@@ -59,18 +59,13 @@ struct DtdbdOptions {
   // previous F1/bias of Eq. 14), so a resumed run replays the exact same
   // dynamic-weight trajectory.
   std::string checkpoint_path;
-  int checkpoint_every = 1;
   std::string resume_from;
   train::GuardOptions guard;
   train::FaultInjector* fault_injector = nullptr;  // test hook, not owned
 };
 
-struct DtdbdResult {
-  // Non-ok when resume failed, the guard gave up on a diverged run, or a
-  // fault injector simulated a crash. Histories cover completed epochs.
-  Status status = Status::Ok();
-  std::vector<double> train_loss_per_epoch;
-  std::vector<metrics::EvalReport> val_reports;
+// A TrainResult plus the DAA weight history.
+struct DtdbdResult : TrainResult {
   std::vector<double> w_add_per_epoch;  // weight in effect during epoch r
 };
 

@@ -5,10 +5,9 @@
 // cross-entropy term; gradient reversal inside the model turns it into
 // adversarial training.
 //
-// The loop is fault-tolerant (see src/train/): it can periodically persist
-// an atomic checkpoint, resume from one with a bitwise-identical
-// trajectory, skip NaN-poisoned steps, and roll back to the last good
-// checkpoint with a reduced learning rate when training diverges.
+// TrainSupervised supplies the objective to the fault-tolerant epoch loop
+// shared with TrainDtdbd (train/loop.h: per-epoch checkpoints, bitwise
+// resume, NaN-step skip, rollback with a reduced learning rate).
 #ifndef DTDBD_DTDBD_TRAINER_H_
 #define DTDBD_DTDBD_TRAINER_H_
 
@@ -40,10 +39,8 @@ struct TrainOptions {
   bool verbose = false;
 
   // --- Fault tolerance (src/train/) ---
-  // When non-empty, an atomic checkpoint is written here every
-  // `checkpoint_every` epochs and after the final epoch.
+  // When non-empty, an atomic checkpoint is written here after every epoch.
   std::string checkpoint_path;
-  int checkpoint_every = 1;
   // When non-empty, the full training state (parameters, Adam moments,
   // RNG streams, loader order, epoch counter) is restored from this file
   // before the first step; the resumed trajectory is bitwise identical to
@@ -62,6 +59,9 @@ struct TrainResult {
   std::vector<double> train_loss_per_epoch;
   std::vector<metrics::EvalReport> val_reports;  // empty if no val set
 };
+
+// The parameters of `model` that require grad (frozen ones are skipped).
+std::vector<tensor::Tensor> TrainableParams(models::FakeNewsModel* model);
 
 // Trains `model` with Adam on cross-entropy (+ optional domain terms).
 // `val` may be null.

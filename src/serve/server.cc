@@ -604,30 +604,34 @@ void Server::DetachGroupLocked(ModelState* model,
   }
 }
 
-void Server::DrainQueueLocked() {
-  while (!queue_.empty()) {
-    Job dropped = std::move(queue_.front());
-    queue_.pop_front();
-    if (dropped.kind == Job::Kind::kInfer) {
-      --inference_depth_;
-      --dropped.model->queued;
-      dropped.done(
-          Status::Unavailable("server stopped before serving request"));
-      if (dropped.group != nullptr) {
-        // Followers die with their leader: same status, exactly once each.
-        std::vector<DedupFollower> followers;
-        DetachGroupLocked(dropped.model, dropped.group, &followers);
-        for (DedupFollower& follower : followers) {
-          follower.done(
-              Status::Unavailable("server stopped before serving request"));
-        }
-      }
-    } else {
+void Server::DrainQueue(std::unique_lock<std::mutex>* lock) {
+  std::deque<Job> dropped;
+  dropped.swap(queue_);
+  // Followers die with their leader: same status, exactly once each.
+  std::vector<DedupFollower> followers;
+  for (Job& job : dropped) {
+    if (job.kind == Job::Kind::kControl) {
       --control_pending_;
-      dropped.control_reply.set_value(
-          Status::Unavailable("server stopped before reload"));
+      continue;
+    }
+    --inference_depth_;
+    --job.model->queued;
+    if (job.group != nullptr) {
+      DetachGroupLocked(job.model, job.group, &followers);
     }
   }
+  lock->unlock();
+  const Status stopped =
+      Status::Unavailable("server stopped before serving request");
+  for (Job& job : dropped) {
+    if (job.kind == Job::Kind::kControl) {
+      job.control_reply.set_value(
+          Status::Unavailable("server stopped before reload"));
+    } else {
+      job.done(stopped);
+    }
+  }
+  for (DedupFollower& follower : followers) follower.done(stopped);
 }
 
 void Server::WorkerLoop(KernelPool* pool) {
@@ -656,7 +660,7 @@ void Server::WorkerLoop(KernelPool* pool) {
       if (stopped_) {
         // Fail everything still queued — coalesced or not; admission is
         // already closed, so whichever worker gets here first drains.
-        DrainQueueLocked();
+        DrainQueue(&lock);
         return;
       }
       if (queue_.front().kind == Job::Kind::kControl) {

@@ -343,9 +343,10 @@ class Server {
   // end) that must not block a thread per pending request. `done` is invoked
   // exactly once with the same outcomes Submit() produces — on the
   // submitting thread for immediate rejections (unknown model, queue full,
-  // stopped), on a worker thread otherwise. It must be fast and must not
-  // call back into this Server (a worker thread invoking Submit().get()
-  // would self-deadlock); enqueue-and-wake is the intended shape.
+  // stopped), on a worker thread otherwise, never under a server lock. It
+  // must be fast and must not block on this Server (a worker thread
+  // invoking Submit().get() would self-deadlock), though a non-blocking
+  // call such as Health() is safe; enqueue-and-wake is the intended shape.
   void SubmitAsync(InferenceRequest request, int64_t deadline_nanos,
                    std::function<void(StatusOr<Prediction>)> done);
 
@@ -459,8 +460,9 @@ class Server {
   // True when this queued job should be served by `model`'s canary
   // session. Caller holds mu_.
   bool RouteToCanaryLocked(const Job& job) const;
-  // Fails everything still queued with kUnavailable. Caller holds mu_.
-  void DrainQueueLocked();
+  // Fails everything still queued with kUnavailable: takes the queue under
+  // `lock` (on mu_) and replies after releasing it.
+  void DrainQueue(std::unique_lock<std::mutex>* lock);
   // Enqueues a control job whose closure receives the resolved model;
   // resolves immediately with kNotFound / kUnavailable when the name is
   // unknown or the server is stopped. `front` jumps the queue (used by

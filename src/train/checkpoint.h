@@ -29,6 +29,7 @@ namespace dtdbd::train {
 
 // DTDBD's dynamic-adjustment carry-over (mirrors MomentumWeightAdjuster's
 // state as plain values so this layer stays independent of src/dtdbd/).
+// A restore reads neither w_add nor w_dkd: TrainDtdbd derives both.
 struct DaaSnapshot {
   double w_add = 0.0;
   double w_dkd = 1.0;

@@ -25,7 +25,6 @@ TrainingGuard::TrainingGuard(const GuardOptions& options) : options_(options) {
 
 TrainingGuard::Verdict TrainingGuard::Inspect(
     float loss, const std::vector<tensor::Tensor>& params) {
-  if (!options_.skip_non_finite) return Verdict::kOk;
   if (AllFinite(loss, params)) {
     consecutive_bad_ = 0;
     return Verdict::kOk;

@@ -1,12 +1,12 @@
 // Divergence detection and recovery policy for training loops.
 //
-// After every backward pass the trainer asks the guard to inspect the loss
-// and gradients. A non-finite value marks the step as poisoned: the step is
-// skipped (gradients dropped, parameters untouched). After
-// `max_consecutive_bad` poisoned steps in a row the guard asks the trainer
-// to roll back to the last good checkpoint with a reduced learning rate;
-// after `max_rollbacks` rollbacks it gives up and the trainer returns a
-// non-ok status instead of looping forever on a diverged run.
+// After every backward pass the training loop (train/loop.h) asks the
+// guard, which is always on, to inspect the loss and gradients. A
+// non-finite value marks the step as poisoned: the step is skipped
+// (gradients dropped, parameters untouched). After `max_consecutive_bad`
+// poisoned steps in a row the guard asks for a roll back to the last good
+// checkpoint with a reduced learning rate; after `max_rollbacks` rollbacks
+// it gives up and the loop returns a non-ok status.
 #ifndef DTDBD_TRAIN_GUARD_H_
 #define DTDBD_TRAIN_GUARD_H_
 
@@ -18,9 +18,6 @@
 namespace dtdbd::train {
 
 struct GuardOptions {
-  // Master switch; false restores the unguarded (pre-robustness) behavior
-  // where a NaN loss silently poisons the parameters.
-  bool skip_non_finite = true;
   int max_consecutive_bad = 3;
   float rollback_lr_decay = 0.5f;
   int max_rollbacks = 2;
@@ -48,7 +45,6 @@ class TrainingGuard {
   void OnRollback();
 
   int64_t skipped_steps() const { return skipped_steps_; }
-  int rollbacks() const { return rollbacks_; }
 
  private:
   GuardOptions options_;

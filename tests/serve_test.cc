@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <future>
@@ -375,6 +376,40 @@ TEST_F(ServeTest, StopFailsPendingWithUnavailable) {
   // Post-stop submissions are rejected up front.
   const auto after = server.Submit(ValidRequest()).get();
   EXPECT_EQ(after.status().code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(reload.get().ok());
+}
+
+TEST_F(ServeTest, StopRepliesToDrainedRequestsOutsideTheServerLock) {
+  // A request dropped by Stop() hears back with no server lock held, like
+  // every other reply, so its callback may take the Health() snapshot.
+  train::FaultInjector injector(7);
+  injector.set_slow_load_nanos(100'000'000);  // pin the worker for 100 ms
+  ServerOptions options = BaseOptions();
+  options.num_workers = 1;
+  options.reload_max_attempts = 1;
+  options.fault_injector = &injector;
+  Server server(MakeSession("MDFEND", 3), options);
+  auto reload = server.ReloadFromCheckpoint("/nonexistent/checkpoint.bin");
+  std::promise<HealthReport> seen;
+  server.SubmitAsync(ValidRequest(), /*deadline_nanos=*/0,
+                     [&server, &seen](StatusOr<Prediction> result) {
+                       EXPECT_EQ(result.status().code(),
+                                 StatusCode::kUnavailable);
+                       seen.set_value(server.Health());
+                     });
+  std::promise<void> stopped;
+  std::thread stopper([&server, &stopped] {
+    server.Stop();
+    stopped.set_value();
+  });
+  if (stopped.get_future().wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    // A deadlocked server can be neither stopped nor destroyed.
+    std::fprintf(stderr, "Stop() deadlocked replying to a drained request\n");
+    std::_Exit(1);
+  }
+  stopper.join();
+  EXPECT_EQ(seen.get_future().get().queue_depth, 0);
   EXPECT_FALSE(reload.get().ok());
 }
 

@@ -298,6 +298,55 @@ TEST_F(TrainRobustnessTest, MidEpochCrashResumesFromLastCheckpoint) {
                            resumed->NamedParameters());
 }
 
+// The DTDBD twin: a crash mid-epoch 2, then a resumed call into a fresh
+// student (which rebuilds its teacher tables) finishes bit-identically,
+// DAA weights included.
+TEST_F(TrainRobustnessTest, DtdbdMidEpochCrashResumesFromLastCheckpoint) {
+  const std::string ckpt = TmpPath("dtdbd_crash.ckpt");
+  std::unique_ptr<models::FakeNewsModel> unbiased, clean;
+  MakeTeachers(&unbiased, &clean);
+  DtdbdOptions base;
+  base.epochs = 4;
+  base.batch_size = 32;
+  base.seed = 7;
+
+  auto straight = models::CreateModel("TextCNN-S", config_);
+  DtdbdResult full = TrainDtdbd(straight.get(), unbiased.get(), clean.get(),
+                                splits_.train, splits_.val, base);
+  ASSERT_TRUE(full.status.ok());
+  ASSERT_EQ(full.w_add_per_epoch.size(), 4u);
+
+  auto victim = models::CreateModel("TextCNN-S", config_);
+  train::FaultInjector injector(5);
+  injector.ScheduleAbortAtStep(2 * NumTrainBatches(base.batch_size) + 1);
+  DtdbdOptions crashing = base;
+  crashing.checkpoint_path = ckpt;
+  crashing.fault_injector = &injector;
+  DtdbdResult crashed = TrainDtdbd(victim.get(), unbiased.get(), clean.get(),
+                                   splits_.train, splits_.val, crashing);
+  EXPECT_EQ(crashed.status.code(), StatusCode::kInternal);
+  EXPECT_EQ(crashed.train_loss_per_epoch.size(), 2u);
+
+  models::ModelConfig fresh_config = config_;
+  fresh_config.seed = 888;
+  auto resumed = models::CreateModel("TextCNN-S", fresh_config);
+  DtdbdOptions rest = base;
+  rest.resume_from = ckpt;
+  DtdbdResult part2 = TrainDtdbd(resumed.get(), unbiased.get(), clean.get(),
+                                 splits_.train, splits_.val, rest);
+  ASSERT_TRUE(part2.status.ok()) << part2.status.ToString();
+  ASSERT_EQ(part2.train_loss_per_epoch.size(), 2u);
+  ASSERT_EQ(part2.w_add_per_epoch.size(), 2u);
+  for (int e = 0; e < 2; ++e) {
+    EXPECT_EQ(full.train_loss_per_epoch[2 + e], part2.train_loss_per_epoch[e])
+        << "epoch " << 2 + e;
+    EXPECT_EQ(full.w_add_per_epoch[2 + e], part2.w_add_per_epoch[e])
+        << "epoch " << 2 + e;
+  }
+  ExpectParamsBitwiseEqual(straight->NamedParameters(),
+                           resumed->NamedParameters());
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection: NaN steps and divergence
 // ---------------------------------------------------------------------------
@@ -364,6 +413,29 @@ TEST_F(TrainRobustnessTest, PersistentDivergenceGivesUpWithCleanStatus) {
   EXPECT_FALSE(result.status.ok());
   EXPECT_EQ(result.status.code(), StatusCode::kInternal);
   // The rollback path restored the last good snapshot before giving up.
+  for (const auto& [name, t] : doomed->NamedParameters()) {
+    for (float v : t.data()) {
+      ASSERT_TRUE(std::isfinite(v)) << "non-finite weight in " << name;
+    }
+  }
+}
+
+TEST_F(TrainRobustnessTest, DtdbdPersistentDivergenceGivesUpWithCleanStatus) {
+  std::unique_ptr<models::FakeNewsModel> unbiased, clean;
+  MakeTeachers(&unbiased, &clean);
+  auto doomed = models::CreateModel("TextCNN-S", config_);
+  train::FaultInjector injector(17);
+  injector.set_grad_nan_probability(1.0);  // every step is poisoned
+  DtdbdOptions opts;
+  opts.epochs = 2;
+  opts.batch_size = 32;
+  opts.fault_injector = &injector;
+  opts.guard.max_consecutive_bad = 3;
+  opts.guard.max_rollbacks = 2;
+  DtdbdResult result = TrainDtdbd(doomed.get(), unbiased.get(), clean.get(),
+                                  splits_.train, splits_.val, opts);
+  EXPECT_FALSE(result.status.ok());
+  EXPECT_EQ(result.status.code(), StatusCode::kInternal);
   for (const auto& [name, t] : doomed->NamedParameters()) {
     for (float v : t.data()) {
       ASSERT_TRUE(std::isfinite(v)) << "non-finite weight in " << name;
