@@ -14,9 +14,9 @@ namespace {
 // survives a power loss after the directory has been synced.
 Status SyncContainingDirectory(const std::string& path) {
   const size_t slash = path.find_last_of('/');
-  std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";  // "/file" -> root
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"  // "/file" -> root
+                                                     : path.substr(0, slash);
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dfd < 0) {
     return Status::IoError("cannot open directory for fsync: " + dir);

@@ -15,6 +15,24 @@ uint64_t SplitMix64(uint64_t* state) {
 
 uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+// One xoshiro256** step: returns the output and advances s.
+inline uint64_t XoshiroNext(uint64_t* s) {
+  const uint64_t result = RotL(s[1] * 5, 7) * 9;
+  const uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = RotL(s[3], 45);
+  return result;
+}
+
+// 53 random bits -> double in [0, 1).
+inline double ToUnit(uint64_t x) {
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -36,22 +54,9 @@ void Rng::SetState(const State& state) {
   cached_normal_ = state.cached_normal;
 }
 
-uint64_t Rng::Next() {
-  const uint64_t result = RotL(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = RotL(state_[3], 45);
-  return result;
-}
+uint64_t Rng::Next() { return XoshiroNext(state_); }
 
-double Rng::Uniform() {
-  // 53 random bits -> double in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
+double Rng::Uniform() { return ToUnit(Next()); }
 
 double Rng::Uniform(double lo, double hi) {
   DTDBD_CHECK_LE(lo, hi);
@@ -88,6 +93,15 @@ int64_t Rng::UniformInt(int64_t n) {
 }
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
+
+void Rng::BernoulliFill(double p, float if_true, float if_false, float* out,
+                        int64_t n) {
+  uint64_t s[4] = {state_[0], state_[1], state_[2], state_[3]};
+  // Indexed rather than branched on: the draw is unpredictable.
+  const float pick[2] = {if_false, if_true};
+  for (int64_t i = 0; i < n; ++i) out[i] = pick[ToUnit(XoshiroNext(s)) < p];
+  for (int i = 0; i < 4; ++i) state_[i] = s[i];
+}
 
 int Rng::Categorical(const std::vector<double>& weights) {
   DTDBD_CHECK(!weights.empty());

@@ -56,6 +56,12 @@ class Rng {
   // True with probability p.
   bool Bernoulli(double p);
 
+  // out[i] = Bernoulli(p) ? if_true : if_false for i in [0, n): the same
+  // draws, in the same order, as n calls of Bernoulli(p), and the same
+  // state afterwards, with the generator state kept in registers.
+  void BernoulliFill(double p, float if_true, float if_false, float* out,
+                     int64_t n);
+
   // Samples an index from unnormalized non-negative weights.
   int Categorical(const std::vector<double>& weights);
 

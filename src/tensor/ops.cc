@@ -233,42 +233,6 @@ __attribute__((target("avx512f"))) void CopyRowAvx512(float* dst,
   for (; j < n; ++j) dst[j] = src[j];
 }
 
-// out16[l] = sum_j g[j] * bt[j*stride + l], j ascending from a zero
-// accumulator — 16 consecutive dot products against a transposed matrix,
-// each lane running the scalar chain exactly.
-__attribute__((target("avx512f"))) void DotAccum16Avx512(const float* g,
-                                                         const float* bt,
-                                                         int64_t rows,
-                                                         int64_t stride,
-                                                         float* out16) {
-  __m512 acc = _mm512_setzero_ps();
-  for (int64_t j = 0; j < rows; ++j) {
-    acc = _mm512_add_ps(
-        acc, _mm512_mul_ps(_mm512_set1_ps(g[j]),
-                           _mm512_loadu_ps(bt + j * stride)));
-  }
-  _mm512_storeu_ps(out16, acc);
-}
-
-// The LinearRelu epilogue: pre = o[j] + b[j]; o[j] = pre > 0 ? pre : 0.
-// _CMP_GT_OQ matches the scalar `pre > 0.0f` (quiet, NaN compares false).
-__attribute__((target("avx512f"))) void BiasReluRowAvx512(float* o,
-                                                          const float* b,
-                                                          int64_t n) {
-  const __m512 zero = _mm512_setzero_ps();
-  int64_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    const __m512 pre =
-        _mm512_add_ps(_mm512_loadu_ps(o + j), _mm512_loadu_ps(b + j));
-    const __mmask16 on = _mm512_cmp_ps_mask(pre, zero, _CMP_GT_OQ);
-    _mm512_storeu_ps(o + j, _mm512_maskz_mov_ps(on, pre));
-  }
-  for (; j < n; ++j) {
-    const float pre = o[j] + b[j];
-    o[j] = pre > 0.0f ? pre : 0.0f;
-  }
-}
-
 // Per-lane running max over the j-major transposed scratch [cols, 16]:
 // m = (m < x[j]) ? x[j] : m — exactly std::max's predicate, j ascending
 // from x[0]. _CMP_LT_OQ keeps m on NaN, like the scalar chain.
@@ -360,9 +324,12 @@ __attribute__((target("avx512f"))) void LayerNormStats16Avx512(
     var = _mm512_add_ps(var, _mm512_mul_ps(d, d));
   }
   var = _mm512_div_ps(var, vn);
+  // The zero-masked form of _mm512_sqrt_ps, with every lane on: the same
+  // sqrt, without the undefined pass-through operand GCC 12 warns about.
   const __m512 is = _mm512_div_ps(
       _mm512_set1_ps(1.0f),
-      _mm512_sqrt_ps(_mm512_add_ps(var, _mm512_set1_ps(eps))));
+      _mm512_maskz_sqrt_ps(__mmask16{0xFFFF},
+                           _mm512_add_ps(var, _mm512_set1_ps(eps))));
   _mm512_storeu_ps(mean16, mean);
   _mm512_storeu_ps(is16, is);
 }
@@ -466,24 +433,122 @@ struct PairwiseRowAvx512 {
   }
 };
 
-// Runs K<NV>::Run(j0, len, args...) over [0, n) in slices of at most
-// kMaxRowRegs registers, NV fitted to each slice.
-template <template <int> class K, typename... A>
-void ForRowSlices(int64_t n, const A&... args) {
-  for (int64_t j0 = 0; j0 < n; j0 += 16 * kMaxRowRegs) {
-    const int64_t len = std::min<int64_t>(16 * kMaxRowRegs, n - j0);
-    switch ((len + 15) / 16) {
-      case 1: K<1>::Run(j0, len, args...); break;
-      case 2: K<2>::Run(j0, len, args...); break;
-      case 3: K<3>::Run(j0, len, args...); break;
-      case 4: K<4>::Run(j0, len, args...); break;
-      case 5: K<5>::Run(j0, len, args...); break;
-      case 6: K<6>::Run(j0, len, args...); break;
-      case 7: K<7>::Run(j0, len, args...); break;
-      case 8: K<8>::Run(j0, len, args...); break;
-      case 9: K<9>::Run(j0, len, args...); break;
-      default: K<10>::Run(j0, len, args...); break;
+// The operands of a row-pair chain, the core of the MatMul-family
+// kernels. For rows r = 0, 1 (which may be one row twice) and each column
+// j of the slice a kernel is given:
+//   acc = from_out ? out[r][j] : 0
+//   acc += a[r][t * a_stride] * b.row(t)[j] for t ascending in [0, terms),
+//          skipping the terms whose coefficient is +-0 when skip_zero
+//   out[r][j] = add_to_out ? out[r][j] + acc
+//             : bias       ? (acc + bias[j] > 0 ? acc + bias[j] : 0)
+//             : acc
+// with separate mul and add.
+struct RowPairArgs {
+  const float* a[2];
+  int64_t a_stride;
+  Reader b;
+  int64_t terms;
+  float* out[2];
+  bool skip_zero = false;
+  bool from_out = false;
+  bool add_to_out = false;
+  const float* bias = nullptr;
+};
+
+// Registers per row of a row-pair slice (64 columns): 2 x 4 chains in
+// flight already cover the add latency, and each wider instantiation
+// would add code that every process maps.
+constexpr int kPairRegs = 4;
+
+// RowPairArgs' chains over the column slice [j0, j0 + len): both rows'
+// slices stay in registers across the whole t chain, and each B load
+// feeds both rows. A skipped term is a masked add that leaves the chain as
+// it is, the scalar `if (av == 0.0f) continue` (_CMP_NEQ_UQ skips +-0 and
+// not NaN). The bias epilogue is LinearRelu's, _CMP_GT_OQ being the
+// scalar `pre > 0.0f`.
+template <int NV>
+struct RowPairAvx512 {
+  __attribute__((target("avx512f"))) static void Run(int64_t j0,
+                                                     int64_t len,
+                                                     const RowPairArgs& p) {
+    const __m512 zero = _mm512_setzero_ps();
+    const __mmask16 keep_all = p.skip_zero ? 0 : 0xFFFF;
+    __mmask16 m[NV];
+    __m512 acc[2][NV];
+#pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) {
+      m[v] = LaneMask(len - 16 * v);
+#pragma GCC unroll 2
+      for (int r = 0; r < 2; ++r) {
+        acc[r][v] = p.from_out
+                        ? _mm512_maskz_loadu_ps(m[v], p.out[r] + j0 + 16 * v)
+                        : zero;
+      }
     }
+    for (int64_t t = 0; t < p.terms; ++t) {
+      const __m512 va0 = _mm512_set1_ps(p.a[0][t * p.a_stride]);
+      const __m512 va1 = _mm512_set1_ps(p.a[1][t * p.a_stride]);
+      const __mmask16 on0 =
+          _mm512_cmp_ps_mask(va0, zero, _CMP_NEQ_UQ) | keep_all;
+      const __mmask16 on1 =
+          _mm512_cmp_ps_mask(va1, zero, _CMP_NEQ_UQ) | keep_all;
+      const float* brow = p.b.row(t) + j0;
+#pragma GCC unroll 16
+      for (int v = 0; v < NV; ++v) {
+        const __m512 bv = _mm512_maskz_loadu_ps(m[v], brow + 16 * v);
+        acc[0][v] = _mm512_mask_add_ps(acc[0][v], on0, acc[0][v],
+                                       _mm512_mul_ps(va0, bv));
+        acc[1][v] = _mm512_mask_add_ps(acc[1][v], on1, acc[1][v],
+                                       _mm512_mul_ps(va1, bv));
+      }
+    }
+#pragma GCC unroll 16
+    for (int v = 0; v < NV; ++v) {
+      const __m512 bias =
+          p.bias != nullptr ? _mm512_maskz_loadu_ps(m[v], p.bias + j0 + 16 * v)
+                            : zero;
+      // Both rows are read before either is stored: the two may be one.
+      __m512 y[2];
+#pragma GCC unroll 2
+      for (int r = 0; r < 2; ++r) {
+        y[r] = acc[r][v];
+        if (p.add_to_out) {
+          y[r] = _mm512_add_ps(
+              _mm512_maskz_loadu_ps(m[v], p.out[r] + j0 + 16 * v), y[r]);
+        } else if (p.bias != nullptr) {
+          const __m512 pre = _mm512_add_ps(y[r], bias);
+          y[r] = _mm512_maskz_mov_ps(
+              _mm512_cmp_ps_mask(pre, zero, _CMP_GT_OQ), pre);
+        }
+      }
+#pragma GCC unroll 2
+      for (int r = 0; r < 2; ++r) {
+        _mm512_mask_storeu_ps(p.out[r] + j0 + 16 * v, m[v], y[r]);
+      }
+    }
+  }
+};
+
+// K<NV>::Run(j0, len, args...) with NV = ceil(len / 16), for len <=
+// 16 * kMaxNV.
+template <template <int> class K, int kMaxNV, typename... A>
+void RunFitted(int64_t j0, int64_t len, const A&... args) {
+  if constexpr (kMaxNV > 1) {
+    if (len <= 16 * (kMaxNV - 1)) {
+      RunFitted<K, kMaxNV - 1>(j0, len, args...);
+      return;
+    }
+  }
+  K<kMaxNV>::Run(j0, len, args...);
+}
+
+// Runs K<NV>::Run(j0, len, args...) over [0, n) in slices of at most
+// kMaxNV registers, NV fitted to each slice.
+template <template <int> class K, int kMaxNV = kMaxRowRegs, typename... A>
+void ForRowSlices(int64_t n, const A&... args) {
+  for (int64_t j0 = 0; j0 < n; j0 += 16 * kMaxNV) {
+    RunFitted<K, kMaxNV>(j0, std::min<int64_t>(16 * kMaxNV, n - j0),
+                         args...);
   }
 }
 
@@ -651,43 +716,74 @@ __attribute__((target("avx2"))) int64_t TanhBlocksAvx2(float* y,
   return i;
 }
 
-// orow[j] = TanhPort(orow[j] + sum_k ctx[k] * w[k * d + j]) for j in
-// [0, d), k ascending over [0, d): the context half of the frozen
-// encoder's mix with j in the lanes, 32 outputs held in four 256-bit
-// registers across the whole k chain, separate mul and add, and the tanh
-// applied in the registers.
-// 256-bit on purpose: the mix runs once per token on the batch-of-one
-// serving path, where the same kernel in 512-bit registers raised
-// serve_unique's process CPU per reply by ~9% (median of 4 alternating
-// pairs), most likely through the lower clock the core runs at after
-// dense 512-bit FP work.
-__attribute__((target("avx2"))) void FrozenMixRowAvx(float* orow, int64_t d,
-                                                     const float* ctx,
-                                                     const float* w) {
+// Lanes [0, live) of an 8-lane AVX2 mask, for live >= 0 (all 8 when
+// live >= 8).
+__attribute__((target("avx2"))) inline __m256i LaneMask8(int64_t live) {
   static const int32_t kLanes[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
                                      0,  0,  0,  0,  0,  0,  0,  0};
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+      kLanes + 8 - std::min<int64_t>(live, 8)));
+}
+
+// ctx[j] = (0 + rows[0][j] + ... + rows[count - 1][j]) * (1 / count) for
+// j in [0, d), the scalar chain of MeanOfRows on 8 lanes; the multiply is
+// skipped when count == 0.
+__attribute__((target("avx2"))) void MeanOfRowsAvx(const float* const* rows,
+                                                   int count, int64_t d,
+                                                   float* ctx) {
+  const __m256 inv =
+      _mm256_set1_ps(1.0f / static_cast<float>(std::max(count, 1)));
+  for (int64_t j0 = 0; j0 < d; j0 += 8) {
+    const __m256i m = LaneMask8(d - j0);
+    __m256 acc = _mm256_setzero_ps();
+    for (int i = 0; i < count; ++i) {
+      acc = _mm256_add_ps(acc, _mm256_maskload_ps(rows[i] + j0, m));
+    }
+    if (count > 0) acc = _mm256_mul_ps(acc, inv);
+    _mm256_maskstore_ps(ctx + j0, m, acc);
+  }
+}
+
+// out[t][j] = mix[t][j] + sum_k ctx[t][k] * w[k * d + j] for j in [0, d),
+// k ascending over [0, d), for the two tokens t = 0, 1 (which may be one
+// token twice): the context half of the frozen encoder's mix, before its
+// tanh. j in the lanes, 32 outputs of each token in four 256-bit
+// registers across the whole k chain, so 8 chains are in flight and each
+// weight load feeds both tokens; separate mul and add. Each chain starts
+// from the mix row, never from `out`, so a token computed twice gets the
+// same bits both times.
+// 256-bit on purpose: the mix runs on the batch-of-one serving path,
+// where the single-token kernel in 512-bit registers raised serve_unique's
+// process CPU per reply by ~9% (median of 4 alternating pairs), most
+// likely through the lower clock the core runs at after dense 512-bit FP
+// work.
+__attribute__((target("avx2"))) void FrozenMixPairAvx(
+    const float* const mix[2], const float* const ctx[2], const float* w,
+    int64_t d, float* const out[2]) {
   for (int64_t j0 = 0; j0 < d; j0 += 32) {
     __m256i m[4];
-    __m256 acc[4];
+    __m256 acc[2][4];
 #pragma GCC unroll 4
     for (int v = 0; v < 4; ++v) {
-      const int64_t live = std::clamp<int64_t>(d - j0 - 8 * v, 0, 8);
-      m[v] = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(kLanes + 8 - live));
-      acc[v] = _mm256_maskload_ps(orow + j0 + 8 * v, m[v]);
+      m[v] = LaneMask8(std::max<int64_t>(d - j0 - 8 * v, 0));
+      acc[0][v] = _mm256_maskload_ps(mix[0] + j0 + 8 * v, m[v]);
+      acc[1][v] = _mm256_maskload_ps(mix[1] + j0 + 8 * v, m[v]);
     }
     for (int64_t k = 0; k < d; ++k) {
-      const __m256 va = _mm256_set1_ps(ctx[k]);
+      const __m256 c0 = _mm256_set1_ps(ctx[0][k]);
+      const __m256 c1 = _mm256_set1_ps(ctx[1][k]);
       const float* x = w + k * d + j0;
 #pragma GCC unroll 4
       for (int v = 0; v < 4; ++v) {
-        acc[v] = _mm256_add_ps(
-            acc[v], _mm256_mul_ps(va, _mm256_maskload_ps(x + 8 * v, m[v])));
+        const __m256 wv = _mm256_maskload_ps(x + 8 * v, m[v]);
+        acc[0][v] = _mm256_add_ps(acc[0][v], _mm256_mul_ps(c0, wv));
+        acc[1][v] = _mm256_add_ps(acc[1][v], _mm256_mul_ps(c1, wv));
       }
     }
 #pragma GCC unroll 4
     for (int v = 0; v < 4; ++v) {
-      _mm256_maskstore_ps(orow + j0 + 8 * v, m[v], TanhAvx2(acc[v], m[v]));
+      _mm256_maskstore_ps(out[0] + j0 + 8 * v, m[v], acc[0][v]);
+      _mm256_maskstore_ps(out[1] + j0 + 8 * v, m[v], acc[1][v]);
     }
   }
 }
@@ -732,6 +828,28 @@ void AxpyChain(bool vec, float* row, int64_t n, const AxpyTerm* terms,
     const float* x = terms[i].x;
     for (int64_t j = 0; j < n; ++j) row[j] += a * x[j];
   }
+}
+
+// ctx[j] = 0 + rows[0][j] + ... + rows[count - 1][j], then *= 1 / count
+// when count > 0, for j in [0, d): the frozen encoder's context mean.
+// `vec` selects MeanOfRowsAvx.
+void MeanOfRows(bool vec, const float* const* rows, int count, int64_t d,
+                float* ctx) {
+#ifdef DTDBD_SIMD_AVX512
+  if (vec) {
+    MeanOfRowsAvx(rows, count, d, ctx);
+    return;
+  }
+#else
+  (void)vec;
+#endif
+  std::fill_n(ctx, d, 0.0f);
+  for (int i = 0; i < count; ++i) {
+    for (int64_t j = 0; j < d; ++j) ctx[j] += rows[i][j];
+  }
+  if (count == 0) return;
+  const float inv = 1.0f / static_cast<float>(count);
+  for (int64_t j = 0; j < d; ++j) ctx[j] *= inv;
 }
 
 // gb[ci] += g[r, ci] over rows r ascending, skipping zeros, for channels
@@ -787,13 +905,33 @@ void PoolMaxOverTime(const float* px, int64_t b, int64_t t, int64_t n,
   });
 }
 
-// The exact ikj accumulation of MatMul (zero-skip per A element) for
-// output rows [s, e) — shared by MatMul and the fused LinearRelu. `vec`
-// is hoisted by the caller (SimdEnabled && AVX-512 && n >= 16).
-void MatMulAccumulateRows(const Reader& ra, const Reader& rb, float* po,
-                          int64_t k, int64_t n, int64_t s, int64_t e,
-                          bool vec) {
+// Output rows [s, e) of A * B, each element's chain acc = 0, then acc +=
+// A[i,kk] * B[kk,j] over ascending kk, skipping +-0 A elements; with a
+// `bias`, then the LinearRelu epilogue pre = acc + bias[j]; pre > 0 ? pre
+// : 0. Shared by MatMul and the fused LinearRelu. `vec` (hoisted by the
+// caller) runs the rows in pairs in registers; an odd last row pairs with
+// itself.
+void MatMulRows(const Reader& ra, const Reader& rb, const float* bias,
+                float* po, int64_t k, int64_t n, int64_t s, int64_t e,
+                bool vec) {
+#ifdef DTDBD_SIMD_AVX512
+  if (vec) {
+    for (int64_t i = s; i < e; i += 2) {
+      const int64_t i1 = std::min(i + 1, e - 1);
+      ForRowSlices<RowPairAvx512, kPairRegs>(
+          n, RowPairArgs{.a = {ra.row(i), ra.row(i1)},
+                         .a_stride = 1,
+                         .b = rb,
+                         .terms = k,
+                         .out = {po + i * n, po + i1 * n},
+                         .skip_zero = true,
+                         .bias = bias});
+    }
+    return;
+  }
+#else
   (void)vec;
+#endif
   for (int64_t i = s; i < e; ++i) {
     const float* arow = ra.row(i);
     float* orow = po + i * n;
@@ -801,38 +939,43 @@ void MatMulAccumulateRows(const Reader& ra, const Reader& rb, float* po,
       const float av = arow[kk];
       if (av == 0.0f) continue;
       const float* brow = rb.row(kk);
-#ifdef DTDBD_SIMD_AVX512
-      if (vec) {
-        AxpyRowAvx512(orow, brow, av, n);
-        continue;
-      }
-#endif
       for (int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+    }
+    if (bias == nullptr) continue;
+    for (int64_t j = 0; j < n; ++j) {
+      const float pre = orow[j] + bias[j];
+      orow[j] = pre > 0.0f ? pre : 0.0f;
     }
   }
 }
 
-// gA[i,kk] += sum_j g[i,j] * B[kk,j] for rows [s, e) — shared by the
-// MatMul and LinearRelu backwards. When `bt` is non-null it holds B
-// transposed ([n, k], bt[j*k+kk] = B[kk,j]) and the vector path computes
-// 16 consecutive kk per pass; the tail and the bt==nullptr case run the
-// scalar reference chain.
+// gA[i,kk] += acc, acc = sum_j g[i,j] * B[kk,j] from 0 over ascending j,
+// for rows [s, e) — shared by the MatMul and LinearRelu backwards. When
+// `bt` is non-null it holds B transposed ([n, k], bt[j*k+kk] = B[kk,j])
+// and the vector path runs the rows in pairs with kk in the lanes (an odd
+// last row pairs with itself); otherwise the scalar reference chain runs.
 void MatMulBackwardARows(const float* g, const Reader& rb, const float* bt,
                          float* ga, int64_t k, int64_t n, int64_t s,
                          int64_t e) {
+#ifdef DTDBD_SIMD_AVX512
+  if (bt != nullptr) {
+    const Reader rbt{bt, k, k, true};
+    for (int64_t i = s; i < e; i += 2) {
+      const int64_t i1 = std::min(i + 1, e - 1);
+      ForRowSlices<RowPairAvx512, kPairRegs>(
+          k, RowPairArgs{.a = {g + i * n, g + i1 * n},
+                         .a_stride = 1,
+                         .b = rbt,
+                         .terms = n,
+                         .out = {ga + i * k, ga + i1 * k},
+                         .add_to_out = true});
+    }
+    return;
+  }
+#endif
   for (int64_t i = s; i < e; ++i) {
     const float* grow = g + i * n;
-    int64_t kk = 0;
-#ifdef DTDBD_SIMD_AVX512
-    if (bt != nullptr) {
-      float acc16[16];
-      for (; kk + 16 <= k; kk += 16) {
-        DotAccum16Avx512(grow, bt + kk, n, k, acc16);
-        for (int l = 0; l < 16; ++l) ga[i * k + kk + l] += acc16[l];
-      }
-    }
-#endif
-    for (; kk < k; ++kk) {
+    for (int64_t kk = 0; kk < k; ++kk) {
       const float* brow = rb.row(kk);
       float acc = 0.0f;
       for (int64_t j = 0; j < n; ++j) acc += grow[j] * brow[j];
@@ -848,7 +991,7 @@ std::vector<float> MaybeTransposeForBackward(const Reader& rb, int64_t k,
                                              int64_t n) {
   std::vector<float> bt;
 #ifdef DTDBD_SIMD_AVX512
-  if (UseAvx512() && k >= 16) {
+  if (UseAvx512()) {
     bt.resize(static_cast<size_t>(k * n));
     for (int64_t kk = 0; kk < k; ++kk) {
       const float* brow = rb.row(kk);
@@ -864,23 +1007,37 @@ std::vector<float> MaybeTransposeForBackward(const Reader& rb, int64_t k,
 }
 
 // gB[kk,j] += A[i,kk] * g[i,j] for weight rows [s, e), i ascending with
-// the zero-skip — shared by the MatMul and LinearRelu backwards.
+// the zero-skip — shared by the MatMul and LinearRelu backwards. `vec`
+// runs the rows in pairs in registers, starting from gB (an odd last row
+// pairs with itself).
 void MatMulBackwardBRows(const Reader& ra, const float* g, float* gb,
                          int64_t m, int64_t n, int64_t s, int64_t e,
                          bool vec) {
+#ifdef DTDBD_SIMD_AVX512
+  if (vec) {
+    const Reader rg{g, n, n, true};
+    for (int64_t kk = s; kk < e; kk += 2) {
+      const int64_t k1 = std::min(kk + 1, e - 1);
+      ForRowSlices<RowPairAvx512, kPairRegs>(
+          n, RowPairArgs{.a = {ra.row(0) + kk, ra.row(0) + k1},
+                         .a_stride = ra.row_stride,
+                         .b = rg,
+                         .terms = m,
+                         .out = {gb + kk * n, gb + k1 * n},
+                         .skip_zero = true,
+                         .from_out = true});
+    }
+    return;
+  }
+#else
   (void)vec;
+#endif
   for (int64_t kk = s; kk < e; ++kk) {
     float* gbrow = gb + kk * n;
     for (int64_t i = 0; i < m; ++i) {
       const float av = ra.row(i)[kk];
       if (av == 0.0f) continue;
       const float* grow = g + i * n;
-#ifdef DTDBD_SIMD_AVX512
-      if (vec) {
-        AxpyRowAvx512(gbrow, grow, av, n);
-        continue;
-      }
-#endif
       for (int64_t j = 0; j < n; ++j) gbrow[j] += av * grow[j];
     }
   }
@@ -1138,7 +1295,7 @@ void MatMulBackward(Node* self) {
     // (kk,j) accumulates over i ascending, matching the serial kernel.
     const Reader ra = ReadOf(an);
     float* gb = bn->grad.data();
-    const bool vec = UseAvx512() && n >= 16;
+    const bool vec = UseAvx512();
     ParallelFor(k, GrainForRows(m * n), [&](int64_t s, int64_t e) {
       MatMulBackwardBRows(ra, g, gb, m, n, s, e, vec);
     });
@@ -1206,7 +1363,7 @@ void LinearReluBackward(Node* self) {
   if (wn->requires_grad) {
     const Reader ra = ReadOf(xn);
     float* gw = wn->grad.data();
-    const bool vec = UseAvx512() && n >= 16;
+    const bool vec = UseAvx512();
     ParallelFor(k, GrainForRows(m * n), [&](int64_t s, int64_t e) {
       MatMulBackwardBRows(ra, pg2, gw, m, n, s, e, vec);
     });
@@ -1993,11 +2150,10 @@ Tensor MatMul(const Tensor& a_in, const Tensor& b_in) {
   const Reader rb = ReadOf(b.node().get());
   std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
   float* po = out.data();
-  const bool vec = UseAvx512() && n >= 16;
-  // ikj order per output row: streaming access to b and out rows. Each
-  // output row is produced by exactly one shard.
+  const bool vec = UseAvx512();
+  // Each output row is produced by exactly one shard.
   ParallelFor(m, GrainForRows(k * n), [&](int64_t s, int64_t e) {
-    MatMulAccumulateRows(ra, rb, po, k, n, s, e, vec);
+    MatMulRows(ra, rb, nullptr, po, k, n, s, e, vec);
   });
   return MakeOp(kMatMul, {m, n}, std::move(out), {a, b});
 }
@@ -2329,43 +2485,53 @@ Tensor FrozenEncode(const Tensor& table_in, const Tensor& token_mix_in,
   const float* tab = table.data().data();
   const float* pmix = token_mix.data().data();
   const float* pw = w.data().data() + d * d;  // the context rows [d, 2d)
-  std::vector<float> out(static_cast<size_t>(batch * time * d));
+  const int64_t tokens = batch * time;
+  std::vector<float> ctx(static_cast<size_t>(2 * d));  // two tokens' means
+  std::vector<float> out(static_cast<size_t>(tokens * d));
   const bool vec = UseAvx512();
   // h_t = tanh(W^T [e_t ; ctx_t] + b), ctx_t the mean of the +/-1
   // neighbourhood (whichever neighbours exist at the edges). The chain
   // starts from the token's row of the mix table, which already holds
-  // b + the e_t half, and continues over the context half.
-  std::vector<float> ctx(static_cast<size_t>(d));
-  for (int64_t bi = 0; bi < batch; ++bi) {
-    for (int64_t ti = 0; ti < time; ++ti) {
-      std::fill(ctx.begin(), ctx.end(), 0.0f);
-      int count = 0;
-      for (int64_t tn : {ti - 1, ti + 1}) {
-        if (tn < 0 || tn >= time) continue;
-        const float* en =
-            tab + static_cast<int64_t>(ids[bi * time + tn]) * d;
-        for (int64_t j = 0; j < d; ++j) ctx[j] += en[j];
-        ++count;
-      }
-      if (count > 0) {
-        const float inv = 1.0f / static_cast<float>(count);
-        for (int64_t j = 0; j < d; ++j) ctx[j] *= inv;
-      }
-      float* orow = out.data() + (bi * time + ti) * d;
-      std::copy_n(pmix + static_cast<int64_t>(ids[bi * time + ti]) * d, d,
-                  orow);
-      if (vec) {
+  // b + the e_t half, and continues over the context half; the tanh then
+  // runs over the whole output. Tokens are flat indices bi * time + ti.
+  auto row_of = [&](const float* rows, int64_t tk) {
+    return rows + static_cast<int64_t>(ids[static_cast<size_t>(tk)]) * d;
+  };
+  auto context = [&](int64_t tk, float* mean) {
+    const int64_t ti = tk % time;
+    const float* rows[2];
+    int count = 0;
+    if (ti > 0) rows[count++] = row_of(tab, tk - 1);
+    if (ti + 1 < time) rows[count++] = row_of(tab, tk + 1);
+    MeanOfRows(vec, rows, count, d, mean);
+  };
+  if (vec) {
 #ifdef DTDBD_SIMD_AVX512
-        FrozenMixRowAvx(orow, d, ctx.data(), pw);
+    // Tokens in pairs. An odd last token pairs with the token before it,
+    // which is recomputed with the same bits; a lone token pairs with
+    // itself.
+    for (int64_t p = 0; p < tokens; p += 2) {
+      const int64_t t0 = std::max<int64_t>(0, std::min(p, tokens - 2));
+      const int64_t t1 = std::min(t0 + 1, tokens - 1);
+      context(t0, ctx.data());
+      context(t1, ctx.data() + d);
+      const float* const mix[2] = {row_of(pmix, t0), row_of(pmix, t1)};
+      const float* const c[2] = {ctx.data(), ctx.data() + d};
+      float* const o[2] = {out.data() + t0 * d, out.data() + t1 * d};
+      FrozenMixPairAvx(mix, c, pw, d, o);
+    }
 #endif
-      } else {
-        for (int64_t k = 0; k < d; ++k) {
-          for (int64_t j = 0; j < d; ++j) orow[j] += ctx[k] * pw[k * d + j];
-        }
-        for (int64_t j = 0; j < d; ++j) orow[j] = TanhPort(orow[j]);
+  } else {
+    for (int64_t tk = 0; tk < tokens; ++tk) {
+      context(tk, ctx.data());
+      float* orow = out.data() + tk * d;
+      std::copy_n(row_of(pmix, tk), d, orow);
+      for (int64_t k = 0; k < d; ++k) {
+        for (int64_t j = 0; j < d; ++j) orow[j] += ctx[k] * pw[k * d + j];
       }
     }
   }
+  TanhFn::FwdSpan(vec, out.data(), out.data(), tokens * d);
   return MakeOp(kFrozenEncode, {batch, time, d}, std::move(out), {});
 }
 
@@ -2580,23 +2746,10 @@ Tensor LinearRelu(const Tensor& x_in, const Tensor& w_in,
   const float* pb = bias.data().data();
   std::vector<float> out(static_cast<size_t>(m * n), 0.0f);
   float* po = out.data();
-  const bool vec = UseAvx512() && n >= 16;
-  // MatMul's exact ikj accumulation, then bias-add + clamp in place.
+  const bool vec = UseAvx512();
+  // MatMul's exact accumulation, then bias-add + clamp.
   ParallelFor(m, GrainForRows(k * n), [&](int64_t s, int64_t e) {
-    MatMulAccumulateRows(ra, rb, po, k, n, s, e, vec);
-    for (int64_t i = s; i < e; ++i) {
-      float* orow = po + i * n;
-#ifdef DTDBD_SIMD_AVX512
-      if (vec) {
-        BiasReluRowAvx512(orow, pb, n);
-        continue;
-      }
-#endif
-      for (int64_t j = 0; j < n; ++j) {
-        const float pre = orow[j] + pb[j];
-        orow[j] = pre > 0.0f ? pre : 0.0f;
-      }
-    }
+    MatMulRows(ra, rb, pb, po, k, n, s, e, vec);
   });
   return MakeOp(kLinearRelu, {m, n}, std::move(out), {x, w, bias});
 }
@@ -2698,10 +2851,8 @@ Tensor Dropout(const Tensor& x_in, double p, Rng* rng, bool training) {
   // The RNG stream is consumed sequentially on the calling thread, in
   // logical element order, BEFORE any parallel dispatch: masks (and thus
   // training math and checkpoint/resume reproducibility) are independent of
-  // the thread count.
-  for (int64_t i = 0; i < numel; ++i) {
-    state->mask[static_cast<size_t>(i)] = rng->Bernoulli(p) ? 0.0f : scale;
-  }
+  // the thread count. One draw per element, as numel Bernoulli(p) calls.
+  rng->BernoulliFill(p, 0.0f, scale, state->mask.data(), numel);
   const Reader rx = ReadOf(x.node().get());
   const float* mask = state->mask.data();
   std::vector<float> out(static_cast<size_t>(numel));
@@ -2835,24 +2986,21 @@ Tensor PairwiseSquaredDistances(const Tensor& x_in) {
       for (int64_t kk = 0; kk < n; ++kk) xt[kk * b + j] = px[j * n + kk];
     }
   }
-  // Row-sharded; (i,j) and (j,i) compute the same value bit for bit, since
-  // (a-b)^2 and (b-a)^2 round identically.
+  // Row-sharded over the upper triangle, then mirrored; the diagonal
+  // stays 0. (a-b)^2 and (b-a)^2 round identically, so the mirrored value
+  // is the one (j, i)'s own chain gives.
   ParallelFor(b, GrainForRows(b * n), [&](int64_t s, int64_t e) {
     for (int64_t i = s; i < e; ++i) {
       const float* xi = px + i * n;
       float* orow = po + i * b;
 #ifdef DTDBD_SIMD_AVX512
       if (vec) {
-        ForRowSlices<PairwiseRowAvx512>(b, xi, xt.data(), b, n, orow);
-        orow[i] = 0.0f;
+        ForRowSlices<PairwiseRowAvx512>(b - i - 1, xi, xt.data() + i + 1, b,
+                                        n, orow + i + 1);
         continue;
       }
 #endif
-      for (int64_t j = 0; j < b; ++j) {
-        if (j == i) {
-          orow[j] = 0.0f;
-          continue;
-        }
+      for (int64_t j = i + 1; j < b; ++j) {
         const float* xj = px + j * n;
         float acc = 0.0f;
         for (int64_t kk = 0; kk < n; ++kk) {
@@ -2863,6 +3011,9 @@ Tensor PairwiseSquaredDistances(const Tensor& x_in) {
       }
     }
   });
+  for (int64_t i = 0; i < b; ++i) {
+    for (int64_t j = i + 1; j < b; ++j) po[j * b + i] = po[i * b + j];
+  }
   return MakeOp(kPairwiseSquaredDistances, {b, b}, std::move(out), {x});
 }
 

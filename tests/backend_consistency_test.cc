@@ -509,6 +509,59 @@ std::vector<Case> PairwiseSweepCases() {
   return cases;
 }
 
+// A [m, k] for the dense MatMul / LinearRelu sweep: normal values with
+// every third entry an exact zero (alternating +0 and -0), row 4 all -0,
+// and one NaN in rows i % 5 == 2. The vector forward turns a zero A
+// element into a masked add; +-0 must be skipped and NaN must not.
+Tensor DenseOperand(int64_t m, int64_t k, uint64_t seed) {
+  std::vector<float> v = Rand({m, k}, seed, false).ToVector();
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const int64_t flat = i * k + kk;
+      if (i == 4) {
+        v[flat] = -0.0f;
+      } else if (flat % 3 == 0) {
+        v[flat] = flat / 3 % 2 ? -0.0f : 0.0f;
+      }
+    }
+    if (i % 5 == 2) {
+      v[i * k + k / 2] = std::numeric_limits<float>::quiet_NaN();
+    }
+  }
+  return Tensor::FromData({m, k}, std::move(v), true);
+}
+
+std::vector<Case> DenseMatMulSweepCases() {
+  std::vector<Case> cases;
+  for (int fused = 0; fused < 2; ++fused) {
+    for (int64_t m = 1; m <= 9; ++m) {
+      for (int64_t n : {1, 2, 15, 16, 17, 64, 65, 130}) {
+        for (int64_t k : {1, 7, 64}) {
+          const std::string name =
+              std::string(fused ? "LinearRelu" : "MatMul") +
+              " m=" + std::to_string(m) + " n=" + std::to_string(n) +
+              " k=" + std::to_string(k);
+          const uint64_t seed = static_cast<uint64_t>(
+              (((fused * 10 + m) * 131 + n) * 65 + k) * 4 + 200000);
+          cases.push_back({name, [=] {
+            Tensor a = DenseOperand(m, k, seed);
+            Tensor b = Rand({k, n}, seed + 1);
+            std::vector<Tensor> leaves = {a, b};
+            Tensor y = MatMul(a, b);
+            if (fused) {
+              leaves.push_back(Rand({n}, seed + 2));
+              y = LinearRelu(a, b, leaves.back());
+            }
+            Tensor up = UpstreamWithZeros(y.shape(), seed + 3);
+            return Built{leaves, Sum(Mul(y, up)), {y}};
+          }});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
 // The frozen encoder's operands for one sweep case.
 struct EncodeCase {
   std::string name;
@@ -533,6 +586,28 @@ std::vector<EncodeCase> FrozenEncodeCases() {
                        Rand({2 * d, d}, seed + 1, /*requires_grad=*/false),
                        Rand({d}, seed + 2, /*requires_grad=*/false),
                        std::move(ids), 2, t, seed});
+    }
+  }
+  // Odd token counts (batch 1 and 3, odd T): the vector path mixes tokens
+  // in pairs, so its last pair shifts back by one token (or, for a single
+  // token, pairs the token with itself).
+  for (int64_t d : {1, 7, 8, 9, 17, 32, 33}) {
+    for (int64_t batch : {1, 3}) {
+      for (int64_t t : {1, 3, 5}) {
+        const uint64_t seed =
+            static_cast<uint64_t>((d * 4 + batch) * 8 + t + 5000);
+        std::vector<int> ids(static_cast<size_t>(batch * t));
+        for (size_t i = 0; i < ids.size(); ++i) {
+          ids[i] = static_cast<int>((i * 3 + static_cast<size_t>(d)) % 11);
+        }
+        cases.push_back({"FrozenEncode odd tokens D=" + std::to_string(d) +
+                             " B=" + std::to_string(batch) +
+                             " T=" + std::to_string(t),
+                         Rand({11, d}, seed, /*requires_grad=*/false),
+                         Rand({2 * d, d}, seed + 1, /*requires_grad=*/false),
+                         Rand({d}, seed + 2, /*requires_grad=*/false),
+                         std::move(ids), batch, t, seed});
+      }
     }
   }
   // Pre-activations the vector tanh hands to the scalar port (+0, tiny,
@@ -614,6 +689,12 @@ TEST(BackendConsistencyTest, ConvReluMaxEdgeSweepMatchesScalarOracle) {
 
 TEST(BackendConsistencyTest, PairwiseDistancesSweepMatchesScalarOracle) {
   ExpectSweepMatchesScalarOracle(PairwiseSweepCases());
+}
+
+// NaN A elements make NaN outputs and gradients, so NaNs match whatever
+// their bits.
+TEST(BackendConsistencyTest, DenseMatMulSweepMatchesScalarOracle) {
+  ExpectSweepMatchesScalarOracle(DenseMatMulSweepCases(), /*nan_equal=*/true);
 }
 
 TEST(BackendConsistencyTest, FrozenEncodeSweepMatchesScalarOracle) {

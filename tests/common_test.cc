@@ -84,6 +84,24 @@ TEST(RngTest, BernoulliRate) {
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.02);
 }
 
+// Dropout draws its whole mask in one BernoulliFill call. It must make
+// the same draws as one Bernoulli(p) call per element and leave the same
+// state, so a checkpoint resumed mid-run replays the same masks.
+TEST(RngTest, BernoulliFillMatchesBernoulliCalls) {
+  for (double p : {0.0, 0.1, 0.5, 0.9}) {
+    for (int64_t n : {0, 1, 7, 1000}) {
+      Rng one_by_one(29), batched(29);
+      std::vector<float> expected(static_cast<size_t>(n));
+      for (float& v : expected) v = one_by_one.Bernoulli(p) ? 0.0f : 2.0f;
+      std::vector<float> mask(static_cast<size_t>(n), -1.0f);
+      batched.BernoulliFill(p, 0.0f, 2.0f, mask.data(), n);
+      EXPECT_EQ(mask, expected) << "p=" << p << " n=" << n;
+      EXPECT_EQ(batched.GetState(), one_by_one.GetState());
+      EXPECT_EQ(batched.Next(), one_by_one.Next()) << "p=" << p << " n=" << n;
+    }
+  }
+}
+
 TEST(RngTest, CategoricalRespectsWeights) {
   Rng rng(17);
   std::vector<int> counts(3, 0);
