@@ -3,20 +3,18 @@
 // operator would roll a new model out.
 //
 //  1. Register a fleet: "default" (MDFEND) plus an "experimental" sibling.
-//  2. Route requests by name over TCP — wire v2 clients pick a model per
-//     request; a v1 client (pre-fleet framing) transparently gets the
-//     default.
+//  2. Route requests by name over TCP — a client picks a model per
+//     request; a request that names none gets the default.
 //  3. Canary: deploy a candidate checkpoint to a hash slice of the default
 //     model's traffic, watch the per-model health, then promote it.
 //  4. Shadow: score another candidate off the response path and read the
 //     accumulated score deltas.
 //  5. Prediction cache + dedup: replay a hot request and read the
-//     cache/dedup counters over the wire with a v2 health frame (a v1
-//     client cannot even encode one).
+//     cache/dedup counters over the wire with a health frame.
 //  6. Labeled feedback + windowed quality: close the loop on served
 //     traffic with Server::RecordFeedback and read the drift-health
 //     fields (feedback counters, windowed AUC, degraded-quality flag)
-//     from the same v2 frame.
+//     from the same frame.
 //
 // Build & run:  ./build/examples/serve_fleet [--requests 200] [--percent 25]
 //               [--cache-bytes 1048576] [--feedback-ring 1024]
@@ -42,7 +40,7 @@ using namespace dtdbd;
 
 namespace {
 
-// Writes a servable v2 checkpoint holding fresh weights from `config` —
+// Writes a servable checkpoint holding fresh weights from `config` —
 // stand-in for "the retrained model the team wants to roll out".
 std::string WriteCandidate(data::NewsDataset* dataset,
                            models::ModelConfig config, uint64_t seed,
@@ -162,12 +160,10 @@ int main(int argc, char** argv) {
     return request;
   };
 
-  // 2. Named routing over TCP: a v2 client alternates models per request;
-  //    a v1 client (pre-fleet framing, no model field) gets the default.
-  net::Client v2, v1;
-  v1.set_protocol_version(net::kMinProtocolVersion);
-  if (!v2.Connect("127.0.0.1", net.port()).ok() ||
-      !v1.Connect("127.0.0.1", net.port()).ok()) {
+  // 2. Named routing over TCP: the client alternates between the default
+  //    model (empty name) and "experimental" per request.
+  net::Client client;
+  if (!client.Connect("127.0.0.1", net.port()).ok()) {
     std::fprintf(stderr, "connect failed\n");
     return 1;
   }
@@ -175,22 +171,17 @@ int main(int argc, char** argv) {
   for (int i = 0; i < num_requests; ++i) {
     net::WireResponse response;
     const std::string model = i % 2 == 0 ? "" : "experimental";
-    (void)v2.Call(++id, 0, request_for(static_cast<size_t>(i), model),
-                  &response);
-  }
-  for (int i = 0; i < num_requests / 4; ++i) {
-    net::WireResponse response;
-    (void)v1.Call(++id, 0, request_for(static_cast<size_t>(i), ""),
-                  &response);
+    (void)client.Call(++id, 0, request_for(static_cast<size_t>(i), model),
+                      &response);
   }
   {
     // Unknown names are rejected per request, not per connection.
     net::WireResponse response;
-    (void)v2.Call(++id, 0, request_for(0, "no-such-model"), &response);
+    (void)client.Call(++id, 0, request_for(0, "no-such-model"), &response);
     std::printf("route to 'no-such-model' -> wire code %d (NOT_FOUND)\n\n",
                 static_cast<int>(response.code));
   }
-  std::printf("after named + v1 traffic:\n");
+  std::printf("after named traffic:\n");
   PrintModels(server.Health());
 
   // 3. Canary a candidate on the default model, serve a slice, promote.
@@ -210,9 +201,9 @@ int main(int argc, char** argv) {
   }
   for (int i = 0; i < num_requests; ++i) {
     net::WireResponse response;
-    if (v2.Call(++id, 0, request_for(static_cast<size_t>(i), ""), &response)
-            .ok() &&
-        i < 3) {
+    const Status called = client.Call(
+        ++id, 0, request_for(static_cast<size_t>(i), ""), &response);
+    if (called.ok() && i < 3) {
       std::printf("request %d served by %s v%lld\n", i,
                   response.prediction.canary ? "CANARY" : "primary",
                   static_cast<long long>(response.prediction.model_version));
@@ -234,7 +225,8 @@ int main(int argc, char** argv) {
   }
   for (int i = 0; i < num_requests; ++i) {
     net::WireResponse response;
-    (void)v2.Call(++id, 0, request_for(static_cast<size_t>(i), ""), &response);
+    (void)client.Call(++id, 0, request_for(static_cast<size_t>(i), ""),
+                      &response);
   }
   std::printf("\nafter promote + shadow traffic:\n");
   PrintModels(server.Health());
@@ -244,14 +236,14 @@ int main(int argc, char** argv) {
   //    bitwise identically — then read the counters over the wire.
   for (int i = 0; i < num_requests; ++i) {
     net::WireResponse response;
-    (void)v2.Call(++id, 0, request_for(0, ""), &response);
+    (void)client.Call(++id, 0, request_for(0, ""), &response);
   }
   net::WireHealth wire_health;
-  if (Status s = v2.GetHealth(++id, &wire_health); !s.ok()) {
+  if (Status s = client.GetHealth(++id, &wire_health); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("\nwire health (v2 frame): cache %s, budget %lld bytes\n",
+  std::printf("\nwire health: cache %s, budget %lld bytes\n",
               wire_health.cache_enabled ? "on" : "off",
               static_cast<long long>(wire_health.cache_bytes_limit));
   for (const net::WireModelHealth& m : wire_health.models) {
@@ -262,12 +254,6 @@ int main(int argc, char** argv) {
         static_cast<long long>(m.misses), static_cast<long long>(m.deduped),
         static_cast<long long>(m.entries), static_cast<long long>(m.bytes));
   }
-  {
-    net::WireHealth ignored;
-    const Status rejected = v1.GetHealth(++id, &ignored);
-    std::printf("v1 client asking for health -> %s (health frames are v2+)\n",
-                rejected.ToString().c_str());
-  }
 
   // 6. Close the quality loop: serve labeled traffic, feed the outcomes
   //    back, and read the windowed drift health over the wire.
@@ -275,9 +261,9 @@ int main(int argc, char** argv) {
     const data::NewsSample& sample =
         dataset.samples[static_cast<size_t>(i) % dataset.samples.size()];
     net::WireResponse response;
-    if (!v2.Call(++id, 0, request_for(static_cast<size_t>(i), ""), &response)
-             .ok() ||
-        response.code != net::WireCode::kOk) {
+    const Status called = client.Call(
+        ++id, 0, request_for(static_cast<size_t>(i), ""), &response);
+    if (!called.ok() || response.code != net::WireCode::kOk) {
       continue;
     }
     serve::Feedback feedback;
@@ -287,7 +273,7 @@ int main(int argc, char** argv) {
     (void)server.RecordFeedback(feedback);
   }
   net::WireHealth quality_health;
-  if (Status s = v2.GetHealth(++id, &quality_health); !s.ok()) {
+  if (Status s = client.GetHealth(++id, &quality_health); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
@@ -309,8 +295,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", m.quality_degraded ? "  QUALITY-DEGRADED" : "");
   }
 
-  v1.Close();
-  v2.Close();
+  client.Close();
   net.Stop();
   server.Stop();
   std::remove(canary_ckpt.c_str());

@@ -114,12 +114,12 @@ DtdbdResult TrainDtdbd(models::FakeNewsModel* student,
   // run replays the same dynamic-weight trajectory.
   hooks.capture_daa = [&] {
     const MomentumWeightAdjuster::State daa = adjuster.GetState();
-    return train::DaaSnapshot{w_add(),          1.0 - w_add(), daa.w_add,
-                              daa.has_previous, daa.prev_f1,   daa.prev_bias};
+    return train::DaaSnapshot{daa.w_add, daa.has_previous, daa.prev_f1,
+                              daa.prev_bias};
   };
   hooks.restore_daa = [&](const train::DaaSnapshot& daa) {
     adjuster.SetState(
-        {daa.adjuster_w_add, daa.has_previous, daa.prev_f1, daa.prev_bias});
+        {daa.w_add, daa.has_previous, daa.prev_f1, daa.prev_bias});
   };
   result.status = train::RunTrainingLoop(
       train::MakeLoopSpec("dtdbd", "DTDBD", options),

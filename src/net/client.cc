@@ -15,16 +15,12 @@ namespace dtdbd::net {
 
 Client::~Client() { Close(); }
 
-Client::Client(Client&& other) noexcept
-    : fd_(other.fd_), protocol_version_(other.protocol_version_) {
-  other.fd_ = -1;
-}
+Client::Client(Client&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     Close();
     fd_ = other.fd_;
-    protocol_version_ = other.protocol_version_;
     other.fd_ = -1;
   }
   return *this;
@@ -90,9 +86,12 @@ void Client::ShutdownWrite() {
 
 Status Client::Send(uint64_t request_id, int64_t deadline_nanos,
                     const serve::InferenceRequest& request) {
-  return SendBytes(
-      EncodeRequestFrame(request_id, deadline_nanos, request,
-                         protocol_version_));
+  if (request.model_name.size() > UINT16_MAX) {
+    return Status::InvalidArgument(
+        "model name of " + std::to_string(request.model_name.size()) +
+        " bytes exceeds the wire limit of " + std::to_string(UINT16_MAX));
+  }
+  return SendBytes(EncodeRequestFrame(request_id, deadline_nanos, request));
 }
 
 namespace {
@@ -147,20 +146,12 @@ Status Client::Receive(WireResponse* response, int64_t timeout_ms) {
   DTDBD_RETURN_IF_ERROR(
       ReadExact(fd_, payload.data(), payload.size(), /*at_boundary=*/false));
   response->request_id = header.request_id;
-  // Decode under the version the SERVER stamped on this frame (it echoes
-  // the request's version, but pre-header rejections arrive as v1).
-  return DecodeResponsePayload(payload.data(), payload.size(), response,
-                               header.version);
+  return DecodeResponsePayload(payload.data(), payload.size(), response);
 }
 
 Status Client::GetHealth(uint64_t request_id, WireHealth* health,
                          int64_t timeout_ms) {
-  if (protocol_version_ < 2) {
-    return Status::InvalidArgument(
-        "health frames require protocol version 2");
-  }
-  DTDBD_RETURN_IF_ERROR(
-      SendBytes(EncodeHealthRequestFrame(request_id, protocol_version_)));
+  DTDBD_RETURN_IF_ERROR(SendBytes(EncodeHealthRequestFrame(request_id)));
 
   timeval tv;
   tv.tv_sec = timeout_ms > 0 ? timeout_ms / 1000 : 0;
@@ -185,11 +176,11 @@ Status Client::GetHealth(uint64_t request_id, WireHealth* health,
                             std::to_string(request_id));
   }
   if (header.type == FrameType::kResponse) {
-    // A server that predates (or rejects) health frames answers a typed
-    // error response; surface its message as the call's failure.
+    // A server that rejects the health request answers a typed error
+    // response; surface its message as the call's failure.
     WireResponse response;
-    DTDBD_RETURN_IF_ERROR(DecodeResponsePayload(payload.data(), payload.size(),
-                                                &response, header.version));
+    DTDBD_RETURN_IF_ERROR(
+        DecodeResponsePayload(payload.data(), payload.size(), &response));
     return Status::FailedPrecondition("server rejected health request: " +
                                  std::string(WireCodeName(response.code)) +
                                  (response.message.empty()

@@ -34,14 +34,9 @@ class Client {
   bool connected() const { return fd_ >= 0; }
   void Close();
 
-  // Protocol version used to encode outgoing requests (default: current).
-  // Setting kMinProtocolVersion makes this client byte-identical to a
-  // pre-fleet v1 client — compat tests downgrade through this, and the
-  // server answers each frame in the version it was asked in.
-  void set_protocol_version(uint16_t version) { protocol_version_ = version; }
-  uint16_t protocol_version() const { return protocol_version_; }
-
   // Encodes and writes one request frame (blocking until fully written).
+  // kInvalidArgument, with nothing written, when the model name is longer
+  // than the wire's u16 length field can carry.
   Status Send(uint64_t request_id, int64_t deadline_nanos,
               const serve::InferenceRequest& request);
 
@@ -56,12 +51,10 @@ class Client {
   Status Call(uint64_t request_id, int64_t deadline_nanos,
               const serve::InferenceRequest& request, WireResponse* response);
 
-  // Health introspection (v2+ frames; kInvalidArgument when this client is
-  // pinned to v1). Sends a kHealthRequest and blocks for the matching
-  // kHealthResponse — valid under no pipelining, like Call(). The server
-  // may answer a typed error frame instead (e.g. BAD_FRAME from an old
-  // server that predates health frames); that surfaces as the mapped
-  // Status, not a decode failure.
+  // Health introspection. Sends a kHealthRequest and blocks for the
+  // matching kHealthResponse — valid under no pipelining, like Call(). The
+  // server may answer a typed error frame instead (e.g. BAD_FRAME); that
+  // surfaces as the mapped Status, not a decode failure.
   Status GetHealth(uint64_t request_id, WireHealth* health,
                    int64_t timeout_ms = 0);
 
@@ -72,7 +65,6 @@ class Client {
 
  private:
   int fd_ = -1;
-  uint16_t protocol_version_ = kProtocolVersion;
 };
 
 }  // namespace dtdbd::net

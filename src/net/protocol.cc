@@ -133,30 +133,23 @@ Status ValidateHeader(const FrameHeader& header, uint32_t max_frame_bytes,
   // From here the length prefix is believable even if the frame is
   // unserviceable, so the peer deserves an error frame before the close.
   *trusted_framing = true;
-  if (header.version < kMinProtocolVersion ||
-      header.version > kProtocolVersion) {
+  if (header.version != kProtocolVersion) {
     return Status::InvalidArgument(
         "unsupported protocol version " + std::to_string(header.version) +
-        " (speaking " + std::to_string(kMinProtocolVersion) + ".." +
-        std::to_string(kProtocolVersion) + ")");
+        " (speaking " + std::to_string(kProtocolVersion) + ")");
   }
   return Status::Ok();
 }
 
 std::string EncodeRequestFrame(uint64_t request_id, int64_t deadline_nanos,
-                               const serve::InferenceRequest& request,
-                               uint16_t version) {
-  // Version 1 has no model-name field: the request silently routes to the
-  // server's default model, exactly like a pre-fleet client.
+                               const serve::InferenceRequest& request) {
   const size_t name_len =
-      version >= 2 ? std::min<size_t>(request.model_name.size(), UINT16_MAX)
-                   : 0;
-  size_t payload_len =
+      std::min<size_t>(request.model_name.size(), UINT16_MAX);
+  const size_t payload_len =
       16 + 4 * (request.tokens.size() + request.style.size() +
-                request.emotion.size());
-  if (version >= 2) payload_len += 2 + name_len;
+                request.emotion.size()) +
+      2 + name_len;
   FrameHeader header;
-  header.version = version;
   header.type = FrameType::kRequest;
   header.request_id = request_id;
   header.deadline_nanos = deadline_nanos;
@@ -189,17 +182,14 @@ std::string EncodeRequestFrame(uint64_t request_id, int64_t deadline_nanos,
     StoreF32(word, v);
     AppendBytes(&frame, word, 4);
   }
-  if (version >= 2) {
-    StoreU16(word, static_cast<uint16_t>(name_len));
-    AppendBytes(&frame, word, 2);
-    frame.append(request.model_name.data(), name_len);
-  }
+  StoreU16(word, static_cast<uint16_t>(name_len));
+  AppendBytes(&frame, word, 2);
+  frame.append(request.model_name.data(), name_len);
   return frame;
 }
 
 Status DecodeRequestPayload(const uint8_t* data, size_t len,
-                            serve::InferenceRequest* request,
-                            uint16_t version) {
+                            serve::InferenceRequest* request) {
   if (len < 16) {
     return Status::InvalidArgument("request payload shorter than its header");
   }
@@ -211,27 +201,19 @@ Status DecodeRequestPayload(const uint8_t* data, size_t len,
   // hostile counts near UINT32_MAX cannot wrap the arithmetic.
   const uint64_t arrays_end =
       16 + 4 * (num_tokens + style_dim + emotion_dim);
-  uint64_t name_len = 0;
-  if (version >= 2) {
-    // v2: the model-name field follows the arrays. Its length prefix must
-    // itself fit before the total length is reconciled.
-    if (arrays_end + 2 > len) {
-      return Status::InvalidArgument(
-          "request payload length " + std::to_string(len) +
-          " cannot hold the advertised counts plus a model-name field");
-    }
-    name_len = LoadU16(data + arrays_end);
-    if (arrays_end + 2 + name_len != len) {
-      return Status::InvalidArgument(
-          "request payload length " + std::to_string(len) +
-          " does not match advertised counts (" +
-          std::to_string(arrays_end + 2 + name_len) + ")");
-    }
-  } else if (arrays_end != len) {
+  // The model-name field follows the arrays. Its length prefix must itself
+  // fit before the total length is reconciled.
+  if (arrays_end + 2 > len) {
     return Status::InvalidArgument(
         "request payload length " + std::to_string(len) +
-        " does not match advertised counts (" + std::to_string(arrays_end) +
-        ")");
+        " cannot hold the advertised counts plus a model-name field");
+  }
+  const uint64_t name_len = LoadU16(data + arrays_end);
+  if (arrays_end + 2 + name_len != len) {
+    return Status::InvalidArgument(
+        "request payload length " + std::to_string(len) +
+        " does not match advertised counts (" +
+        std::to_string(arrays_end + 2 + name_len) + ")");
   }
   request->domain = domain;
   request->tokens.resize(num_tokens);
@@ -247,28 +229,21 @@ Status DecodeRequestPayload(const uint8_t* data, size_t len,
   for (uint64_t i = 0; i < emotion_dim; ++i, p += 4) {
     request->emotion[i] = LoadF32(p);
   }
-  if (version >= 2) {
-    request->model_name.assign(
-        reinterpret_cast<const char*>(data + arrays_end + 2), name_len);
-  } else {
-    request->model_name.clear();  // v1: route to the default model
-  }
+  request->model_name.assign(
+      reinterpret_cast<const char*>(data + arrays_end + 2), name_len);
   return Status::Ok();
 }
 
 std::string EncodeResponseFrame(uint64_t request_id, WireCode code,
                                 uint32_t retry_after_ms,
                                 const serve::Prediction* prediction,
-                                const std::string& message,
-                                uint16_t version) {
+                                const std::string& message) {
   const size_t name_len =
-      version >= 2 && prediction != nullptr
+      prediction != nullptr
           ? std::min<size_t>(prediction->model_name.size(), UINT16_MAX)
           : 0;
-  size_t payload_len = 28 + message.size();
-  if (version >= 2) payload_len += 2 + name_len;
+  const size_t payload_len = 28 + message.size() + 2 + name_len;
   FrameHeader header;
-  header.version = version;
   header.type = FrameType::kResponse;
   header.request_id = request_id;
   header.payload_len = static_cast<uint32_t>(payload_len);
@@ -281,10 +256,7 @@ std::string EncodeResponseFrame(uint64_t request_id, WireCode code,
 
   uint8_t word[8];
   StoreU16(word, static_cast<uint16_t>(code));
-  // v2 reuses the reserved u16 as flags (bit 0 = canary-served); v1
-  // encoders always wrote 0 here, which is why the reuse is compatible.
-  const uint16_t flags =
-      version >= 2 && prediction != nullptr && prediction->canary ? 1 : 0;
+  const uint16_t flags = prediction != nullptr && prediction->canary ? 1 : 0;
   StoreU16(word + 2, flags);
   AppendBytes(&frame, word, 4);
   StoreU32(word, retry_after_ms);
@@ -298,18 +270,16 @@ std::string EncodeResponseFrame(uint64_t request_id, WireCode code,
   StoreU32(word, static_cast<uint32_t>(message.size()));
   AppendBytes(&frame, word, 4);
   frame += message;
-  if (version >= 2) {
-    StoreU16(word, static_cast<uint16_t>(name_len));
-    AppendBytes(&frame, word, 2);
-    if (prediction != nullptr) {
-      frame.append(prediction->model_name.data(), name_len);
-    }
+  StoreU16(word, static_cast<uint16_t>(name_len));
+  AppendBytes(&frame, word, 2);
+  if (prediction != nullptr) {
+    frame.append(prediction->model_name.data(), name_len);
   }
   return frame;
 }
 
 Status DecodeResponsePayload(const uint8_t* data, size_t len,
-                             WireResponse* response, uint16_t version) {
+                             WireResponse* response) {
   if (len < 28) {
     return Status::InvalidArgument("response payload shorter than fixed part");
   }
@@ -319,36 +289,27 @@ Status DecodeResponsePayload(const uint8_t* data, size_t len,
   response->prediction.p_fake = LoadF32(data + 8);
   response->prediction.label = LoadI32(data + 12);
   response->prediction.model_version = LoadI64(data + 16);
-  response->prediction.canary = version >= 2 && (flags & 1) != 0;
+  response->prediction.canary = (flags & 1) != 0;
   const uint64_t message_len = LoadU32(data + 24);
   const uint64_t message_end = 28 + message_len;
-  if (version >= 2) {
-    if (message_end + 2 > len) {
-      return Status::InvalidArgument(
-          "response payload cannot hold its message plus a model-name field");
-    }
-    const uint64_t name_len = LoadU16(data + message_end);
-    if (message_end + 2 + name_len != len) {
-      return Status::InvalidArgument(
-          "response model-name length does not match payload length");
-    }
-    response->prediction.model_name.assign(
-        reinterpret_cast<const char*>(data + message_end + 2), name_len);
-  } else {
-    if (message_end != len) {
-      return Status::InvalidArgument(
-          "response message length does not match payload length");
-    }
-    response->prediction.model_name.clear();
+  if (message_end + 2 > len) {
+    return Status::InvalidArgument(
+        "response payload cannot hold its message plus a model-name field");
   }
+  const uint64_t name_len = LoadU16(data + message_end);
+  if (message_end + 2 + name_len != len) {
+    return Status::InvalidArgument(
+        "response model-name length does not match payload length");
+  }
+  response->prediction.model_name.assign(
+      reinterpret_cast<const char*>(data + message_end + 2), name_len);
   response->message.assign(reinterpret_cast<const char*>(data + 28),
                            message_len);
   return Status::Ok();
 }
 
-std::string EncodeHealthRequestFrame(uint64_t request_id, uint16_t version) {
+std::string EncodeHealthRequestFrame(uint64_t request_id) {
   FrameHeader header;
-  header.version = version;
   header.type = FrameType::kHealthRequest;
   header.request_id = request_id;
   header.payload_len = 0;
@@ -375,15 +336,13 @@ constexpr size_t kHealthPerModelTailBytes = kHealthPerModelFixedBytes - 2;
 }  // namespace
 
 std::string EncodeHealthResponseFrame(uint64_t request_id,
-                                      const WireHealth& health,
-                                      uint16_t version) {
+                                      const WireHealth& health) {
   size_t payload_len = kHealthFixedBytes;
   for (const WireModelHealth& m : health.models) {
     payload_len +=
         kHealthPerModelFixedBytes + std::min<size_t>(m.name.size(), UINT16_MAX);
   }
   FrameHeader header;
-  header.version = version;
   header.type = FrameType::kHealthResponse;
   header.request_id = request_id;
   header.payload_len = static_cast<uint32_t>(payload_len);

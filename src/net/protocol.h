@@ -20,28 +20,20 @@
 //       24     4  payload_len    bytes following the header
 //       28     4  reserved       must be 0
 //
-// Request payload (type kRequest), version 1:
+// Request payload (type kRequest):
 //   i32 domain, u32 num_tokens, u32 style_dim, u32 emotion_dim,
-//   i32 tokens[num_tokens], f32 style[style_dim], f32 emotion[emotion_dim]
-// Version 2 appends the fleet-routing field AFTER the v1 arrays (the v1
-// prefix is byte-identical, so a v2 decoder reads v1 frames by stopping
-// early and a v1 frame simply routes to the default model):
+//   i32 tokens[num_tokens], f32 style[style_dim], f32 emotion[emotion_dim],
+//   u16 model_name_len, char model_name[model_name_len]
+// An empty model name routes to the server's default model.
+//
+// Response payload (type kResponse):
+//   u16 code (WireCode), u16 flags (bit 0 = answered by the canary variant),
+//   u32 retry_after_ms, f32 p_fake, i32 label, i64 model_version,
+//   u32 message_len, char message[message_len],
 //   u16 model_name_len, char model_name[model_name_len]
 //
-// Response payload (type kResponse), version 1:
-//   u16 code (WireCode), u16 reserved, u32 retry_after_ms,
-//   f32 p_fake, i32 label, i64 model_version,
-//   u32 message_len, char message[message_len]
-// Version 2 reuses the reserved u16 at payload offset 2 as `flags`
-// (bit 0 = answered by the canary variant; v1 encoders always wrote 0
-// there) and appends after the message:
-//   u16 model_name_len, char model_name[model_name_len]
-//
-// Version negotiation is per-frame and server-side passive: the server
-// accepts any version in [kMinProtocolVersion, kProtocolVersion], decodes
-// the request under the version its header names, and encodes the
-// response under that SAME version — an old client never sees a byte it
-// cannot parse, and mixed-version clients can share one connection.
+// Every frame carries exactly kProtocolVersion; any other version is a
+// clean header rejection (kBadFrame, then close).
 //
 // The header is validated *before* any payload byte is buffered, so an
 // oversized or garbage length can never balloon a read buffer. Header
@@ -66,9 +58,6 @@ namespace dtdbd::net {
 
 inline constexpr uint32_t kMagic = 0x42445444;  // "DTDB" little-endian
 inline constexpr uint16_t kProtocolVersion = 2;
-// Oldest version this endpoint still decodes (version-tolerant decode:
-// pre-fleet v1 clients keep working against a v2 server).
-inline constexpr uint16_t kMinProtocolVersion = 1;
 inline constexpr size_t kFrameHeaderSize = 32;
 // Default ceiling on payload_len; SocketServerOptions can lower it.
 inline constexpr uint32_t kDefaultMaxFrameBytes = 1u << 20;
@@ -76,9 +65,8 @@ inline constexpr uint32_t kDefaultMaxFrameBytes = 1u << 20;
 enum class FrameType : uint16_t {
   kRequest = 1,
   kResponse = 2,
-  // Health introspection (v2+ only; a v1 header naming type 3 is answered
-  // kBadFrame like any other non-request type). The request has an empty
-  // payload; the response carries the serving/cache counters below.
+  // Health introspection. The request has an empty payload; the response
+  // carries the serving/cache counters below.
   kHealthRequest = 3,
   kHealthResponse = 4,
 };
@@ -120,7 +108,7 @@ struct WireResponse {
   std::string message;           // human-readable error detail, may be empty
 };
 
-// Wire-visible health snapshot (type kHealthResponse, v2+). A deliberate
+// Wire-visible health snapshot (type kHealthResponse). A deliberate
 // SUBSET of serve::HealthReport — the serving, prediction-cache, and
 // windowed-quality counters an external probe needs to judge cache
 // efficacy and drift health, not the full report.
@@ -187,47 +175,34 @@ void DecodeFrameHeader(const uint8_t* data, FrameHeader* header);
 
 // Header sanity against this endpoint's limits. `trusted_framing` reports
 // whether the length prefix can still be believed when the status is non-ok
-// (version outside the tolerated range: yes; bad magic / oversized length:
-// no). Any version in [kMinProtocolVersion, kProtocolVersion] is accepted.
+// (a version other than kProtocolVersion: yes; bad magic / oversized
+// length: no).
 Status ValidateHeader(const FrameHeader& header, uint32_t max_frame_bytes,
                       bool* trusted_framing);
 
-// Full request frame (header + payload) ready to write to a socket,
-// encoded under `version` (v1 omits the model-name field — pre-fleet
-// byte layout, routes to the server's default model).
+// Full request frame (header + payload) ready to write to a socket. A
+// model name longer than UINT16_MAX is truncated; Client::Send refuses one.
 std::string EncodeRequestFrame(uint64_t request_id, int64_t deadline_nanos,
-                               const serve::InferenceRequest& request,
-                               uint16_t version = kProtocolVersion);
-// Decodes a request payload under `version` (the header's, already
-// range-checked by ValidateHeader); kInvalidArgument when the advertised
-// counts do not reconcile with `len` (a garbage frame, distinct from a
-// semantically invalid request which serve/validation rejects AFTER decode
-// succeeds).
+                               const serve::InferenceRequest& request);
+// Decodes a request payload; kInvalidArgument when the advertised counts do
+// not reconcile with `len` (a garbage frame, distinct from a semantically
+// invalid request which serve/validation rejects AFTER decode succeeds).
 Status DecodeRequestPayload(const uint8_t* data, size_t len,
-                            serve::InferenceRequest* request,
-                            uint16_t version = kProtocolVersion);
+                            serve::InferenceRequest* request);
 
-// Full response frame, encoded under `version` — servers pass the
-// REQUEST header's version so a v1 client never receives v2 bytes.
-// `prediction` may be null for error responses.
+// Full response frame. `prediction` may be null for error responses.
 std::string EncodeResponseFrame(uint64_t request_id, WireCode code,
                                 uint32_t retry_after_ms,
                                 const serve::Prediction* prediction,
-                                const std::string& message,
-                                uint16_t version = kProtocolVersion);
+                                const std::string& message);
 Status DecodeResponsePayload(const uint8_t* data, size_t len,
-                             WireResponse* response,
-                             uint16_t version = kProtocolVersion);
+                             WireResponse* response);
 
-// Health frames (v2+). The request carries no payload; the response
-// carries the WireHealth snapshot documented above. Both sides encode at
-// the header's version, which ValidateHeader has already bounded >= 2 by
-// the time the socket server consults the type.
-std::string EncodeHealthRequestFrame(uint64_t request_id,
-                                     uint16_t version = kProtocolVersion);
+// Health frames. The request carries no payload; the response carries the
+// WireHealth snapshot documented above.
+std::string EncodeHealthRequestFrame(uint64_t request_id);
 std::string EncodeHealthResponseFrame(uint64_t request_id,
-                                      const WireHealth& health,
-                                      uint16_t version = kProtocolVersion);
+                                      const WireHealth& health);
 Status DecodeHealthResponsePayload(const uint8_t* data, size_t len,
                                    WireHealth* health);
 

@@ -31,15 +31,6 @@ constexpr size_t kIoChunkBytes = 16 * 1024;
 constexpr uint64_t kWakeTag = UINT64_MAX;
 constexpr uint64_t kListenTag = UINT64_MAX - 1;
 
-// Clamp an arbitrary (possibly out-of-range) request header version into
-// the range this endpoint speaks, for encoding best-effort error replies
-// to peers whose version we rejected.
-uint16_t ClampVersion(uint16_t version) {
-  if (version < kMinProtocolVersion) return kMinProtocolVersion;
-  if (version > kProtocolVersion) return kProtocolVersion;
-  return version;
-}
-
 void CloseFd(int* fd) {
   if (*fd >= 0) {
     ::close(*fd);
@@ -211,14 +202,11 @@ void SocketServer::HandleAccept() {
     if (static_cast<int>(conns_.size()) >= options_.max_connections) {
       // Over the cap: answer one UNAVAILABLE frame best-effort and close.
       // The peer gets a typed reason instead of a silent RST or an unbounded
-      // backlog wait. No request header has been read yet, so the peer's
-      // version is unknown — encode at the minimum version, which every
-      // client this endpoint tolerates can parse.
+      // backlog wait.
       const std::string frame = EncodeResponseFrame(
           /*request_id=*/0, WireCode::kUnavailable, 0, nullptr,
           "connection limit reached (" +
-              std::to_string(options_.max_connections) + ")",
-          kMinProtocolVersion);
+              std::to_string(options_.max_connections) + ")");
       {
         // Count before close(2) so a peer that sees the EOF cannot observe
         // a Stats() snapshot missing its own rejection.
@@ -282,23 +270,21 @@ void SocketServer::SubmitRequest(Connection* conn, const FrameHeader& header,
   // immediate rejection — the sink makes both re-entrancy-safe). Encoding
   // happens on the callback's thread, keeping serialization off the IO
   // thread's critical path.
-  // The response is encoded under the version the REQUEST header named, so
-  // a v1 client on a shared server never receives v2 bytes.
   server_->SubmitAsync(
       std::move(request), header.deadline_nanos,
       [sink = sink_, conn_id = conn->id, request_id = header.request_id,
-       version = header.version, hint = options_.retry_after_ms_hint](
+       hint = options_.retry_after_ms_hint](
           StatusOr<serve::Prediction> result) {
         std::string frame;
         if (result.ok()) {
           frame = EncodeResponseFrame(request_id, WireCode::kOk, 0,
-                                      &result.value(), "", version);
+                                      &result.value(), "");
         } else {
           const WireCode code = WireCodeForStatus(result.status());
           frame = EncodeResponseFrame(
               request_id, code,
               code == WireCode::kRetryLater ? hint : 0, nullptr,
-              result.status().message(), version);
+              result.status().message());
         }
         sink->Push(Completion{conn_id, std::move(frame)});
       });
@@ -346,8 +332,7 @@ void SocketServer::AnswerHealthRequest(Connection* conn,
     wm.bias_spread = m.quality.bias_spread;
     health.models.push_back(std::move(wm));
   }
-  QueueResponse(conn, EncodeHealthResponseFrame(header.request_id, health,
-                                                header.version));
+  QueueResponse(conn, EncodeHealthResponseFrame(header.request_id, health));
 }
 
 bool SocketServer::ParseFrames(Connection* conn) {
@@ -371,30 +356,22 @@ bool SocketServer::ParseFrames(Connection* conn) {
         }
         // Framing intact (e.g. clean version mismatch): answer a typed
         // error frame, then close once it flushes — the peer learns why.
-        // The peer's version may be the very thing that was rejected, so
-        // clamp it into the supported range for the reply.
         QueueResponse(conn,
                       EncodeResponseFrame(conn->header.request_id,
                                           WireCode::kBadFrame, 0, nullptr,
-                                          header_ok.message(),
-                                          ClampVersion(conn->header.version)));
+                                          header_ok.message()));
         conn->close_after_flush = true;
         return true;
       }
-      // Health frames are v2+: a v1 header naming type 3 falls through to
-      // the generic unexpected-type rejection below.
-      const bool health_request =
-          conn->header.type == FrameType::kHealthRequest &&
-          conn->header.version >= 2;
-      if (conn->header.type != FrameType::kRequest && !health_request) {
+      if (conn->header.type != FrameType::kRequest &&
+          conn->header.type != FrameType::kHealthRequest) {
         {
           std::lock_guard<std::mutex> lock(stats_mu_);
           ++stats_.bad_frames;
         }
         QueueResponse(conn, EncodeResponseFrame(
                                 conn->header.request_id, WireCode::kBadFrame,
-                                0, nullptr, "expected a request frame",
-                                conn->header.version));
+                                0, nullptr, "expected a request frame"));
         conn->close_after_flush = true;
         return true;
       }
@@ -418,8 +395,7 @@ bool SocketServer::ParseFrames(Connection* conn) {
                       EncodeResponseFrame(conn->header.request_id,
                                           WireCode::kBadFrame, 0, nullptr,
                                           "health request must carry no "
-                                          "payload",
-                                          conn->header.version));
+                                          "payload"));
       } else {
         AnswerHealthRequest(conn, conn->header);
       }
@@ -431,7 +407,7 @@ bool SocketServer::ParseFrames(Connection* conn) {
     serve::InferenceRequest request;
     const Status decoded =
         DecodeRequestPayload(conn->inbuf.data(), conn->header.payload_len,
-                             &request, conn->header.version);
+                             &request);
     if (!decoded.ok()) {
       // Garbage payload under a valid header: the length prefix still
       // frames the stream, so the connection survives the error.
@@ -441,8 +417,7 @@ bool SocketServer::ParseFrames(Connection* conn) {
       }
       QueueResponse(conn, EncodeResponseFrame(conn->header.request_id,
                                               WireCode::kBadFrame, 0, nullptr,
-                                              decoded.message(),
-                                              conn->header.version));
+                                              decoded.message()));
     } else if (draining_) {
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
@@ -451,8 +426,7 @@ bool SocketServer::ParseFrames(Connection* conn) {
       QueueResponse(conn,
                     EncodeResponseFrame(conn->header.request_id,
                                         WireCode::kUnavailable, 0, nullptr,
-                                        "server is draining",
-                                        conn->header.version));
+                                        "server is draining"));
     } else if (conn->inflight >= options_.max_inflight_per_connection) {
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
@@ -464,8 +438,7 @@ bool SocketServer::ParseFrames(Connection* conn) {
                               "per-connection in-flight limit (" +
                                   std::to_string(
                                       options_.max_inflight_per_connection) +
-                                  ") reached",
-                              conn->header.version));
+                                  ") reached"));
     } else {
       SubmitRequest(conn, conn->header, std::move(request));
     }

@@ -1,9 +1,7 @@
 // Socket front end for serve::Server: an epoll-driven (level-triggered)
 // acceptor/IO thread speaking the length-prefixed protocol of
 // net/protocol.h, feeding the existing bounded queue through
-// Server::SubmitAsync. Each response frame is encoded under the protocol
-// version its REQUEST header named, so v1 and v2 clients can share one
-// server (and one connection) without either seeing bytes it cannot parse.
+// Server::SubmitAsync.
 //
 // Threading model. ONE IO thread owns every fd (listener, self-wake pipe,
 // all connections) and is the only thread that reads, writes, or closes a

@@ -50,8 +50,8 @@
 
 namespace dtdbd::serve {
 
-// The model a request routes to when it names none (wire v1 clients and
-// in-process callers that leave InferenceRequest::model_name empty).
+// The model a request routes to when it names none (wire or in-process
+// callers that leave InferenceRequest::model_name empty).
 inline constexpr char kDefaultModelName[] = "default";
 
 // Deterministic content hash for canary slicing: FNV-1a over domain and

@@ -354,7 +354,7 @@ class Server {
   // worker's own callbacks (it would self-deadlock).
   StatusOr<Prediction> Predict(const InferenceRequest& request);
 
-  // Schedules a hot-reload of the DEFAULT model from a v2 checkpoint;
+  // Schedules a hot-reload of the DEFAULT model from a checkpoint;
   // resolves with the final outcome after retries. A quiescent barrier:
   // strictly ordered against everything still queued, and no forward
   // overlaps the swap.

@@ -14,7 +14,6 @@ namespace dtdbd::tensor {
 namespace {
 
 constexpr char kMagic[4] = {'D', 'T', 'D', 'B'};
-constexpr uint32_t kVersionLegacy = 1;  // no per-entry CRC
 constexpr uint32_t kVersion = 2;
 
 // Hard ceilings on header fields; anything larger is rejected before any
@@ -74,9 +73,8 @@ Status CheckedNumElements(const Shape& shape, int64_t* out) {
   return Status::Ok();
 }
 
-Status ReadOneTensor(BoundedReader* reader, uint32_t version,
-                     const std::string& path, std::string* name_out,
-                     Tensor* tensor_out) {
+Status ReadOneTensor(BoundedReader* reader, const std::string& path,
+                     std::string* name_out, Tensor* tensor_out) {
   uint64_t name_len = 0;
   if (!reader->ReadScalar(&name_len)) {
     return Status::IoError("truncated entry in " + path);
@@ -111,16 +109,14 @@ Status ReadOneTensor(BoundedReader* reader, uint32_t version,
   if (!reader->Read(data.data(), n * static_cast<int64_t>(sizeof(float)))) {
     return Status::IoError("truncated data in " + path);
   }
-  if (version >= kVersion) {
-    crc = Crc32(data.data(), data.size() * sizeof(float), crc);
-    uint32_t stored = 0;
-    if (!reader->ReadScalar(&stored)) {
-      return Status::IoError("truncated CRC in " + path);
-    }
-    if (stored != crc) {
-      return Status::InvalidArgument("CRC mismatch for entry '" + name +
-                                     "' in " + path);
-    }
+  crc = Crc32(data.data(), data.size() * sizeof(float), crc);
+  uint32_t stored = 0;
+  if (!reader->ReadScalar(&stored)) {
+    return Status::IoError("truncated CRC in " + path);
+  }
+  if (stored != crc) {
+    return Status::InvalidArgument("CRC mismatch for entry '" + name +
+                                   "' in " + path);
   }
   *name_out = std::move(name);
   *tensor_out = Tensor::FromData(shape, std::move(data));
@@ -185,7 +181,7 @@ Status SaveTensors(const std::map<std::string, Tensor>& tensors,
   for (const auto& [name, t] : tensors) {
     if (!t.defined()) return Status::InvalidArgument("undefined tensor: " + name);
     // Views are materialized to logical row-major order here, so the
-    // on-disk format stays layout-free and old files remain readable.
+    // on-disk format stays layout-free.
     const std::vector<float> data = t.ToVector();
     const uint64_t name_len = name.size();
     const uint64_t ndim = t.shape().size();
@@ -223,8 +219,7 @@ StatusOr<std::map<std::string, Tensor>> LoadTensors(const std::string& path) {
   if (!reader.Read(magic, 4) || std::memcmp(magic, kMagic, 4) != 0) {
     return Status::InvalidArgument("bad magic in " + path);
   }
-  if (!reader.ReadScalar(&version) ||
-      (version != kVersionLegacy && version != kVersion)) {
+  if (!reader.ReadScalar(&version) || version != kVersion) {
     return Status::InvalidArgument("unsupported version in " + path);
   }
   if (!reader.ReadScalar(&count)) {
@@ -237,7 +232,7 @@ StatusOr<std::map<std::string, Tensor>> LoadTensors(const std::string& path) {
   for (uint64_t i = 0; i < count; ++i) {
     std::string name;
     Tensor t;
-    DTDBD_RETURN_IF_ERROR(ReadOneTensor(&reader, version, path, &name, &t));
+    DTDBD_RETURN_IF_ERROR(ReadOneTensor(&reader, path, &name, &t));
     result.emplace(std::move(name), std::move(t));
   }
   if (reader.remaining() != 0) {

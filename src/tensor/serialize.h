@@ -2,9 +2,9 @@
 //   magic "DTDB" | u32 version |u64 count |
 //   per entry: u64 name_len | name bytes | u64 ndim | i64 dims[] |
 //              f32 data[] | u32 crc32(name..data)
-// Version 1 files (no per-entry CRC) are still readable. All reads are
-// bounds-checked against the file size so a hostile or truncated file can
-// never trigger a huge allocation or a partial load.
+// Any other version is rejected. All reads are bounds-checked against the
+// file size so a hostile or truncated file can never trigger a huge
+// allocation or a partial load.
 #ifndef DTDBD_TENSOR_SERIALIZE_H_
 #define DTDBD_TENSOR_SERIALIZE_H_
 

@@ -17,7 +17,7 @@ using tensor::Crc32;
 using tensor::Tensor;
 
 constexpr char kMagic[4] = {'D', 'T', 'C', 'K'};
-constexpr uint32_t kVersion = 2;  // the "format v2" checkpoint layout
+constexpr uint32_t kVersion = 3;  // the "format v3" checkpoint layout
 constexpr uint64_t kMaxEntries = 1u << 20;
 constexpr uint64_t kMaxKeyLen = 1u << 12;
 constexpr uint64_t kMaxNdim = 8;
@@ -334,8 +334,6 @@ Status SaveCheckpoint(const CheckpointState& state, const std::string& path) {
   {
     std::string p;
     AppendScalar(&p, state.daa.w_add);
-    AppendScalar(&p, state.daa.w_dkd);
-    AppendScalar(&p, state.daa.adjuster_w_add);
     AppendScalar<uint8_t>(&p, state.daa.has_previous ? 1 : 0);
     AppendScalar(&p, state.daa.prev_f1);
     AppendScalar(&p, state.daa.prev_bias);
@@ -415,8 +413,6 @@ StatusOr<CheckpointState> LoadCheckpoint(const std::string& path) {
     PayloadReader reader(*daa);
     uint8_t has_previous = 0;
     if (!reader.ReadScalar(&state.daa.w_add) ||
-        !reader.ReadScalar(&state.daa.w_dkd) ||
-        !reader.ReadScalar(&state.daa.adjuster_w_add) ||
         !reader.ReadScalar(&has_previous) ||
         !reader.ReadScalar(&state.daa.prev_f1) ||
         !reader.ReadScalar(&state.daa.prev_bias) || reader.remaining() != 0) {

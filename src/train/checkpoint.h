@@ -28,12 +28,10 @@
 namespace dtdbd::train {
 
 // DTDBD's dynamic-adjustment carry-over (mirrors MomentumWeightAdjuster's
-// state as plain values so this layer stays independent of src/dtdbd/).
-// A restore reads neither w_add nor w_dkd: TrainDtdbd derives both.
+// state field for field as plain values so this layer stays independent of
+// src/dtdbd/). w_DKD is not stored: it is 1 - w_ADD (Eq. 14).
 struct DaaSnapshot {
   double w_add = 0.0;
-  double w_dkd = 1.0;
-  double adjuster_w_add = 0.0;
   bool has_previous = false;
   double prev_f1 = 0.0;
   double prev_bias = 0.0;

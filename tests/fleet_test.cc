@@ -89,7 +89,7 @@ class FleetTest : public ::testing::Test {
     };
   }
 
-  // Writes a servable v2 checkpoint holding fresh seed-`seed` weights.
+  // Writes a servable checkpoint holding fresh seed-`seed` weights.
   std::string WriteCheckpoint(uint64_t seed,
                               const std::string& filename) const {
     auto model = models::CreateModel("MDFEND", ConfigWithSeed(seed));
@@ -237,11 +237,8 @@ TEST_F(FleetTest, FleetOfOneMatchesStandaloneSessionBitwiseOverBothPaths) {
 
   net::SocketServer net(&server, net::SocketServerOptions{});
   ASSERT_TRUE(net.Start().ok());
-  net::Client v2;
-  net::Client v1;
-  v1.set_protocol_version(net::kMinProtocolVersion);
-  ASSERT_TRUE(v2.Connect("127.0.0.1", net.port()).ok());
-  ASSERT_TRUE(v1.Connect("127.0.0.1", net.port()).ok());
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", net.port()).ok());
 
   for (size_t i = 0; i < 48; ++i) {
     const InferenceRequest request = RequestFor(dataset_.samples[i]);
@@ -255,21 +252,14 @@ TEST_F(FleetTest, FleetOfOneMatchesStandaloneSessionBitwiseOverBothPaths) {
     EXPECT_EQ(got.value().model_name, kDefaultModelName);
     EXPECT_FALSE(got.value().canary);
 
-    // Socket path, current protocol (v2) and pre-fleet protocol (v1): a
-    // v1 frame has no model-name field and must route to the default.
-    net::WireResponse over_v2;
-    net::WireResponse over_v1;
-    ASSERT_TRUE(v2.Call(i + 1, 0, request, &over_v2).ok());
-    ASSERT_TRUE(v1.Call(i + 1, 0, request, &over_v1).ok());
-    ASSERT_EQ(over_v2.code, net::WireCode::kOk);
-    ASSERT_EQ(over_v1.code, net::WireCode::kOk);
-    EXPECT_TRUE(BitwiseEqual(over_v2.prediction, want.value()));
-    EXPECT_TRUE(BitwiseEqual(over_v1.prediction, want.value()));
-    EXPECT_EQ(over_v2.prediction.model_name, kDefaultModelName);
-    EXPECT_TRUE(over_v1.prediction.model_name.empty());  // no v2 field
+    // Socket path: an unnamed request routes to the default model.
+    net::WireResponse over_wire;
+    ASSERT_TRUE(client.Call(i + 1, 0, request, &over_wire).ok());
+    ASSERT_EQ(over_wire.code, net::WireCode::kOk);
+    EXPECT_TRUE(BitwiseEqual(over_wire.prediction, want.value()));
+    EXPECT_EQ(over_wire.prediction.model_name, kDefaultModelName);
   }
-  v1.Close();
-  v2.Close();
+  client.Close();
   net.Stop();
   server.Stop();
 }
@@ -744,7 +734,7 @@ TEST_F(FleetTest, WatchdogSurvivesModelsRegisteredMidWindow) {
 
 // ----- Socket-path fleet routing -----
 
-TEST_F(FleetTest, SocketRoutesNamedModelsAcrossProtocolVersions) {
+TEST_F(FleetTest, SocketRoutesNamedModelsAndEmptyNameToDefault) {
   const std::string shadow_path =
       WriteCheckpoint(11, "fleet_socket_shadow.ckpt");
   ServerOptions options = BaseOptions();
@@ -764,7 +754,7 @@ TEST_F(FleetTest, SocketRoutesNamedModelsAcrossProtocolVersions) {
   for (size_t i = 0; i < 16; ++i) {
     InferenceRequest request = RequestFor(dataset_.samples[i]);
 
-    // v2 with an explicit name routes there and echoes the name.
+    // An explicit name routes there and echoes the name.
     request.model_name = "b";
     net::WireResponse response;
     ASSERT_TRUE(client.Call(2 * i + 1, 0, request, &response).ok());
@@ -779,24 +769,21 @@ TEST_F(FleetTest, SocketRoutesNamedModelsAcrossProtocolVersions) {
     EXPECT_EQ(response.code, net::WireCode::kNotFound);
   }
 
-  // Shadow-score the default model from here on. A v1 client on the same
-  // server cannot name a model and lands on the default — the pre-fleet
-  // wire contract, bit for bit, shadow or not — while v2 traffic to "c"
-  // interleaves and must not reach the default model's shadow.
+  // Shadow-score the default model from here on. A second client that
+  // names no model lands on the default, bit for bit, shadow or not, while
+  // traffic to "c" interleaves and must not reach the default's shadow.
   ASSERT_TRUE(server.StartShadow("", shadow_path).get().ok());
-  net::Client v1;
-  v1.set_protocol_version(net::kMinProtocolVersion);
-  ASSERT_TRUE(v1.Connect("127.0.0.1", net.port()).ok());
+  net::Client unnamed;
+  ASSERT_TRUE(unnamed.Connect("127.0.0.1", net.port()).ok());
   constexpr int64_t kDefaultRequests = 16;
   for (int64_t i = 0; i < kDefaultRequests; ++i) {
     InferenceRequest request = RequestFor(dataset_.samples[i]);
-    request.model_name = "b";  // v1 encoding cannot carry this; it drops
     net::WireResponse response;
-    ASSERT_TRUE(v1.Call(i + 1, 0, request, &response).ok());
+    ASSERT_TRUE(unnamed.Call(i + 1, 0, request, &response).ok());
     ASSERT_EQ(response.code, net::WireCode::kOk);
     EXPECT_TRUE(BitwiseEqual(response.prediction,
                              ref_default->Predict(request).value()));
-    EXPECT_TRUE(response.prediction.model_name.empty());
+    EXPECT_EQ(response.prediction.model_name, kDefaultModelName);
 
     request.model_name = "c";
     ASSERT_TRUE(client.Call(100 + i, 0, request, &response).ok());
@@ -807,7 +794,7 @@ TEST_F(FleetTest, SocketRoutesNamedModelsAcrossProtocolVersions) {
   const net::NetStats stats = net.Stats();
   EXPECT_EQ(stats.bad_frames, 0);
 
-  v1.Close();
+  unnamed.Close();
   client.Close();
   net.Stop();
   server.Stop();

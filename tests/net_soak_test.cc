@@ -8,7 +8,7 @@
 //   - every accepted request is answered exactly once with its own id,
 //   - every OK answer is bitwise identical to the in-process Submit() answer
 //     for the same input AND the same named model (the §9.4 parity contract
-//     over the wire, extended per model); v1 clients (no model-name field)
+//     over the wire, extended per model); clients that name no model
 //     reproduce the default model's answers bitwise,
 //   - unknown model names map to the typed NOT_FOUND wire code and the
 //     connection survives,
@@ -85,13 +85,13 @@ struct SoakTotals {
   std::atomic<int64_t> invalid{0};
   std::atomic<int64_t> bad_frame{0};
   std::atomic<int64_t> not_found{0};  // unknown-model probes
-  std::atomic<int64_t> v1_ok{0};      // OK answers earned by v1 clients
+  std::atomic<int64_t> default_ok{0};  // OK answers to empty-name clients
   std::atomic<int64_t> hostile_conns{0};
   std::atomic<int64_t> failures{0};  // any broken invariant (details via gtest)
 };
 
 // Fleet members behind the one front end. Index 0 is the default model
-// (what v1 clients and empty names route to).
+// (what empty names route to).
 constexpr const char* kFleet[] = {"", "m1", "m2"};
 constexpr uint64_t kFleetSeeds[] = {3, 5, 7};
 
@@ -170,11 +170,9 @@ TEST(NetSoakTest, FaultInjectedStormNoCrashNoLeakExactlyOnceBitwise) {
     const int port = net.port();
     auto client_thread = [&](int client_index) {
       Client client;
-      // Every third client speaks the pre-fleet v1 protocol: no model-name
-      // field on the wire, so all its traffic must land on the default
-      // model and parse cleanly against the v2 server.
-      const bool v1_client = client_index % 3 == 2;
-      if (v1_client) client.set_protocol_version(kMinProtocolVersion);
+      // Every third client names no model, so all its traffic must land
+      // on the default model.
+      const bool default_client = client_index % 3 == 2;
       Status connected = client.Connect("127.0.0.1", port);
       if (!connected.ok()) {
         ADD_FAILURE() << "client " << client_index << " connect: "
@@ -227,9 +225,9 @@ TEST(NetSoakTest, FaultInjectedStormNoCrashNoLeakExactlyOnceBitwise) {
           continue;
         }
 
-        // Fleet routing: v2 clients spread traffic across the three named
-        // models; v1 clients cannot name one and implicitly get index 0.
-        const int model = v1_client ? 0 : (client_index + i) % 3;
+        // Fleet routing: the other clients spread traffic across the three
+        // models; empty-name clients always get index 0.
+        const int model = default_client ? 0 : (client_index + i) % 3;
         serve::InferenceRequest routed = requests[sample];
         routed.model_name = kFleet[model];
 
@@ -249,7 +247,7 @@ TEST(NetSoakTest, FaultInjectedStormNoCrashNoLeakExactlyOnceBitwise) {
           serve::InferenceRequest bad = routed;
           bad.domain = limits.num_domains + 7;
           outcome = client.Call(id, 0, bad, &response);
-        } else if (!v1_client && i % 53 == 0) {
+        } else if (!default_client && i % 53 == 0) {
           want = WireCode::kNotFound;  // unknown model, typed rejection
           serve::InferenceRequest ghost = routed;
           ghost.model_name = "no-such-model";
@@ -283,7 +281,7 @@ TEST(NetSoakTest, FaultInjectedStormNoCrashNoLeakExactlyOnceBitwise) {
         switch (response.code) {
           case WireCode::kOk: {
             totals.ok.fetch_add(1);
-            if (v1_client) totals.v1_ok.fetch_add(1);
+            if (default_client) totals.default_ok.fetch_add(1);
             const serve::Prediction& ref = expected[model][sample];
             if (std::memcmp(&response.prediction.p_fake, &ref.p_fake,
                             sizeof(float)) != 0 ||
@@ -295,11 +293,10 @@ TEST(NetSoakTest, FaultInjectedStormNoCrashNoLeakExactlyOnceBitwise) {
                             << (kFleet[model][0] ? kFleet[model] : "default");
               totals.failures.fetch_add(1);
             }
-            // v2 responses echo the routed model; v1 frames carry no name.
+            // Responses echo the routed model; an empty name resolves to
+            // "default".
             const std::string& got_name = response.prediction.model_name;
-            if (v1_client ? !got_name.empty()
-                          : got_name != (model == 0 ? "default"
-                                                    : kFleet[model])) {
+            if (got_name != (model == 0 ? "default" : kFleet[model])) {
               ADD_FAILURE() << "client " << client_index << " request " << id
                             << ": response named model '" << got_name << "'";
               totals.failures.fetch_add(1);
@@ -334,7 +331,7 @@ TEST(NetSoakTest, FaultInjectedStormNoCrashNoLeakExactlyOnceBitwise) {
     EXPECT_GE(totals.main_frames.load(), 10'000)
         << "storm too small to satisfy the soak bar";
     EXPECT_GT(totals.ok.load(), 0);
-    EXPECT_GT(totals.v1_ok.load(), 0);  // the v1 compat path really ran
+    EXPECT_GT(totals.default_ok.load(), 0);  // empty-name clients were served
     EXPECT_GT(totals.deadline.load(), 0);
     EXPECT_GT(totals.invalid.load(), 0);
     EXPECT_GT(totals.bad_frame.load(), 0);
@@ -373,7 +370,15 @@ TEST(NetSoakTest, FaultInjectedStormNoCrashNoLeakExactlyOnceBitwise) {
       stalled.clear();
     }
 
-    const NetStats stats = net.Stats();
+    // The IO thread counts a response after its send() returns, so a client
+    // can read its last reply a beat before the count; poll until it settles.
+    NetStats stats = net.Stats();
+    for (int spin = 0;
+         spin < 200 && stats.responses_sent < totals.main_frames.load();
+         ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      stats = net.Stats();
+    }
     EXPECT_GE(stats.accepted, kClients);
     EXPECT_GT(stats.bad_frames, 0);
     EXPECT_GT(stats.closed_idle, 0);

@@ -176,6 +176,65 @@ TEST_F(NetTest, ResponseFrameRoundTripsBitwise) {
   EXPECT_EQ(response.prediction.model_version, 7);
 }
 
+// Lowercase hex, one space between bytes, for readable golden diffs.
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    if (!out.empty()) out += ' ';
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+// The wire layout pinned byte for byte: round trips cannot see a field that
+// moves, because the encoder and decoder would move together.
+TEST(WireGoldenTest, FramesMatchPinnedBytes) {
+  serve::InferenceRequest request;
+  request.domain = 3;
+  request.tokens = {7, -1};
+  request.style = {0.5f};
+  request.emotion = {-2.0f, 1.0f};
+  request.model_name = "ab";
+  serve::Prediction prediction;
+  prediction.p_fake = 0.25f;
+  prediction.label = 1;
+  prediction.model_version = 7;
+  prediction.canary = true;
+  prediction.model_name = "b";
+
+  // Header: magic, version, type, request_id, deadline, payload_len,
+  // reserved. Then the payload, one field per group.
+  const struct {
+    const char* label;
+    std::string frame;
+    const char* want;
+  } cases[] = {
+      {"request with a model name",
+       EncodeRequestFrame(42, 123456789, request),
+       "44 54 44 42 02 00 01 00 2a 00 00 00 00 00 00 00 "
+       "15 cd 5b 07 00 00 00 00 28 00 00 00 00 00 00 00 "
+       "03 00 00 00 02 00 00 00 01 00 00 00 02 00 00 00 "
+       "07 00 00 00 ff ff ff ff 00 00 00 3f 00 00 00 c0 00 00 80 3f "
+       "02 00 61 62"},
+      {"response with canary flag, message and model name",
+       EncodeResponseFrame(99, WireCode::kOk, 5, &prediction, "hi"),
+       "44 54 44 42 02 00 02 00 63 00 00 00 00 00 00 00 "
+       "00 00 00 00 00 00 00 00 21 00 00 00 00 00 00 00 "
+       "00 00 01 00 05 00 00 00 00 00 80 3e 01 00 00 00 "
+       "07 00 00 00 00 00 00 00 02 00 00 00 68 69 01 00 62"},
+      {"health request",
+       EncodeHealthRequestFrame(5),
+       "44 54 44 42 02 00 03 00 05 00 00 00 00 00 00 00 "
+       "00 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(Hex(c.frame), c.want) << c.label;
+  }
+}
+
 TEST_F(NetTest, StatusMapsToWireCodes) {
   EXPECT_EQ(WireCodeForStatus(Status::Ok()), WireCode::kOk);
   EXPECT_EQ(WireCodeForStatus(Status::InvalidArgument("x")),
@@ -214,6 +273,12 @@ TEST_F(NetTest, ServedOverSocketBitwiseEqualsInProcessSubmit) {
     EXPECT_EQ(response.prediction.model_version,
               direct.value().model_version);
   }
+  // A model name the u16 length field cannot carry is refused before any
+  // byte is written, never truncated into a name the caller did not send.
+  serve::InferenceRequest long_name = RequestFor(0);
+  long_name.model_name.assign(size_t{UINT16_MAX} + 1, 'm');
+  EXPECT_EQ(client.Send(17, 0, long_name).code(),
+            StatusCode::kInvalidArgument);
 
   // The IO thread bumps responses_sent after the write lands in the kernel,
   // so the client can observe the last response a beat before the counter;
@@ -252,6 +317,16 @@ TEST_F(NetTest, MalformedFrameTaxonomyNeverCrashesOrLeaksFds) {
   ASSERT_GT(fds_baseline, 0);
 
   const std::string good_frame = EncodeRequestFrame(1, 0, RequestFor(0));
+  // A bare header naming `version`; its framing is intact.
+  const auto header_at_version = [](uint16_t version) {
+    FrameHeader h;
+    h.version = version;
+    h.request_id = 6;
+    h.payload_len = 0;
+    std::string bytes(kFrameHeaderSize, '\0');
+    EncodeFrameHeader(h, reinterpret_cast<uint8_t*>(bytes.data()));
+    return bytes;
+  };
 
   enum class Expect { kBadFrameThenClose, kCleanClose, kBadFrameConnSurvives };
   struct Case {
@@ -283,16 +358,12 @@ TEST_F(NetTest, MalformedFrameTaxonomyNeverCrashesOrLeaksFds) {
          return bytes;
        },
        Expect::kCleanClose},
-      {"version mismatch",
-       [&] {
-         FrameHeader h;
-         h.version = kProtocolVersion + 9;
-         h.request_id = 6;
-         h.payload_len = 0;
-         std::string bytes(kFrameHeaderSize, '\0');
-         EncodeFrameHeader(h, reinterpret_cast<uint8_t*>(bytes.data()));
-         return bytes;
-       },
+      {"version mismatch (0)", [&] { return header_at_version(0); },
+       Expect::kBadFrameThenClose},
+      {"version mismatch (1)", [&] { return header_at_version(1); },
+       Expect::kBadFrameThenClose},
+      {"version mismatch (current + 9)",
+       [&] { return header_at_version(kProtocolVersion + 9); },
        Expect::kBadFrameThenClose},
       {"garbage payload (counts disagree with length)",
        [&] {
@@ -311,6 +382,7 @@ TEST_F(NetTest, MalformedFrameTaxonomyNeverCrashesOrLeaksFds) {
 
   for (const Case& c : cases) {
     SCOPED_TRACE(c.label);
+    const int64_t bad_frames_before = net.Stats().bad_frames;
     Client client = ConnectedClient(net);
     ASSERT_TRUE(client.SendBytes(c.bytes()).ok());
     switch (c.expect) {
@@ -333,6 +405,7 @@ TEST_F(NetTest, MalformedFrameTaxonomyNeverCrashesOrLeaksFds) {
         // ... and then a clean close.
         const Status eof = client.Receive(&response, 5000);
         EXPECT_EQ(eof.code(), StatusCode::kUnavailable) << eof.ToString();
+        EXPECT_EQ(net.Stats().bad_frames - bad_frames_before, 1);
         break;
       }
       case Expect::kBadFrameConnSurvives: {
@@ -340,6 +413,7 @@ TEST_F(NetTest, MalformedFrameTaxonomyNeverCrashesOrLeaksFds) {
         const Status received = client.Receive(&response, 5000);
         ASSERT_TRUE(received.ok()) << received.ToString();
         EXPECT_EQ(response.code, WireCode::kBadFrame);
+        EXPECT_EQ(net.Stats().bad_frames - bad_frames_before, 1);
         // The framing was intact, so the SAME connection still serves.
         const Status follow_up = client.Call(8, 0, RequestFor(1), &response);
         ASSERT_TRUE(follow_up.ok()) << follow_up.ToString();
@@ -741,7 +815,7 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// ----- Health frames (v2+) and the prediction cache over the wire -----
+// ----- Health frames and the prediction cache over the wire -----
 
 TEST_F(NetTest, HealthFramesRoundTripCacheCountersOverTheWire) {
   serve::ServerOptions serve_options = QuietOptions();
@@ -783,13 +857,6 @@ TEST_F(NetTest, HealthFramesRoundTripCacheCountersOverTheWire) {
   EXPECT_EQ(health.models[0].hits, 1);
   EXPECT_EQ(health.models[0].inserted, 1);
   EXPECT_EQ(health.models[0].entries, 1);
-
-  // A v1-pinned client cannot even encode the frame: rejected locally.
-  Client old_client = ConnectedClient(net);
-  old_client.set_protocol_version(kMinProtocolVersion);
-  WireHealth ignored;
-  EXPECT_EQ(old_client.GetHealth(78, &ignored).code(),
-            StatusCode::kInvalidArgument);
 
   // A health request carrying a payload is malformed: BAD_FRAME, and the
   // connection survives to serve the next (valid) health request.

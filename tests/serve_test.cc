@@ -81,7 +81,7 @@ class ServeTest : public ::testing::Test {
         models::CreateModel(name, ConfigWithSeed(seed)), limits_, version);
   }
 
-  // Writes a servable v2 checkpoint whose parameters come from a fresh
+  // Writes a servable checkpoint whose parameters come from a fresh
   // seed-`seed` model (a stand-in for "newly trained weights").
   std::string WriteCheckpoint(const std::string& name, uint64_t seed,
                               const std::string& filename) const {

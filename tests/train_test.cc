@@ -493,6 +493,22 @@ TEST_F(TrainRobustnessTest, BitFlippedCheckpointRejectedWithStatus) {
     ASSERT_TRUE(train::FaultInjector::FlipBit(ckpt, offset, 3).ok());
   }
   EXPECT_TRUE(train::LoadCheckpoint(ckpt).ok());
+
+  // The version word (bytes 4-7, after the magic) sits outside every entry
+  // CRC, so only the version check stands between a v2 file and a load.
+  std::FILE* f = std::fopen(ckpt.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  uint32_t version = 0;
+  ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
+  ASSERT_EQ(std::fread(&version, sizeof(version), 1, f), 1u);
+  EXPECT_EQ(version, 3u);
+  version = 2;
+  ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&version, sizeof(version), 1, f), 1u);
+  std::fclose(f);
+  auto loaded = train::LoadCheckpoint(ckpt);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(TrainRobustnessTest, CheckpointKindMismatchRejected) {
